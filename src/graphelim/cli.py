@@ -167,8 +167,8 @@ def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
     if args.manifest is not None:
         text = args.manifest.read_text(encoding="utf-8")
         data = json.loads(text)
-        if "worst_case" in data:
-            worst_case = exp.WorstCaseParams(**data["worst_case"])
+        if isinstance(data, dict) and "worst_case" in data:
+            worst_case = exp.worst_case_from_json(data["worst_case"])
         else:
             sim = config_from_json(text)
     elif args.worst_case:

@@ -66,6 +66,19 @@ class WorstCaseParams:
     d_l: int = 3
 
 
+def worst_case_from_json(data) -> WorstCaseParams:
+    """Worst-case parameters from a decoded JSON object; bad keys are input errors."""
+    try:
+        return WorstCaseParams(**data)
+    except TypeError as exc:
+        raise ValueError(f"invalid worst_case: {exc}") from None
+
+
+def _check_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Fully serializable description of one experiment run."""
@@ -85,17 +98,25 @@ class ExperimentSpec:
             raise ValueError("spec needs exactly one of sim / worst_case")
         if self.sim is not None:
             self.sim.validate()
+        if self.worst_case is not None:
+            for name, low in (("n_x", 1), ("n_l", 0), ("d_x", 1), ("d_l", 1)):
+                _check_int(f"worst_case.{name}", getattr(self.worst_case, name), low)
         unknown = [p for p in self.policies if p not in POLICY_NAMES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}")
-        if self.ordering not in ORDERING_FUNCTIONS:
+        if not isinstance(self.ordering, str) or self.ordering not in ORDERING_FUNCTIONS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        if any(r < 1 for r in self.rates) or not self.rates:
+        if not self.rates:
             raise ValueError("rates must be a nonempty list of integers >= 1")
+        for r in self.rates:
+            _check_int("rates", r, 1)
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if self.frame_stride < 1:
-            raise ValueError("frame_stride must be >= 1")
+        for seed in self.seeds:
+            _check_int("seeds", seed, 0)
+        _check_int("frame_stride", self.frame_stride, 1)
+        if self.max_frames is not None:
+            _check_int("max_frames", self.max_frames, 1)
 
 
 def spec_to_json(spec: ExperimentSpec) -> str:
@@ -103,23 +124,32 @@ def spec_to_json(spec: ExperimentSpec) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def _list_field(data: dict, name: str, default: tuple) -> tuple:
+    value = data.get(name, default)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def spec_from_json(text: str) -> ExperimentSpec:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("spec must be a JSON object")
     sim = None
     if data.get("sim") is not None:
         sim = config_from_json(json.dumps(data["sim"]))
     wc = None
     if data.get("worst_case") is not None:
-        wc = WorstCaseParams(**data["worst_case"])
+        wc = worst_case_from_json(data["worst_case"])
     spec = ExperimentSpec(
         sim=sim,
         worst_case=wc,
-        policies=tuple(data.get("policies", POLICY_NAMES)),
-        rates=tuple(data.get("rates", (4, 6))),
-        seeds=tuple(data.get("seeds", (0,))),
+        policies=_list_field(data, "policies", POLICY_NAMES),
+        rates=_list_field(data, "rates", (4, 6)),
+        seeds=_list_field(data, "seeds", (0,)),
         ordering=data.get("ordering", "min_degree"),
         oracle=bool(data.get("oracle", False)),
-        frame_stride=int(data.get("frame_stride", 1)),
+        frame_stride=data.get("frame_stride", 1),
         max_frames=data.get("max_frames"),
     )
     spec.validate()

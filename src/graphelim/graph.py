@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Kind(Enum):
@@ -202,16 +202,3 @@ def graph_from_text(text: str, source: str = "<string>") -> FactorGraph:
 def load_graph(path: str | Path) -> FactorGraph:
     path = Path(path)
     return graph_from_text(path.read_text(encoding="utf-8"), source=str(path))
-
-
-def build_graph_from_parts(
-    dims_and_kinds: Sequence[tuple[Kind, int]],
-    factors: Iterable[Sequence[int]],
-) -> FactorGraph:
-    """Convenience constructor used heavily in tests and demos."""
-    g = FactorGraph()
-    for kind, dim in dims_and_kinds:
-        g.add_variable(kind, dim)
-    for vs in factors:
-        g.add_factor(vs)
-    return g

@@ -8,6 +8,14 @@ factorizes it while counting every scalar multiplication the algorithm
 performs. Column scaling multiplies by the reciprocal of the pivot
 square root, so one division is spent per pivot and everything else is a
 multiplication; divisions are reported separately.
+
+The factorization is right-looking and blocked over runs of consecutive
+pivots of one variable: each run gathers the rows its pivots can reach
+once, runs the scalar pivot loop inside that block and scatters it back.
+It reads its structure only from the system's pattern (never from the
+elimination cost it is meant to check), and it tallies each pivot's
+multiplications from the pattern row it actually updates with, so the
+counts do not depend on how pivots are grouped.
 """
 
 from __future__ import annotations
@@ -64,20 +72,23 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
         offsets.append(offsets[-1] + d)
     n = offsets[-1]
 
-    pattern = np.zeros((n, n), dtype=bool)
+    owner = np.repeat(np.arange(graph.n_vars), dims)
+    adjacent = np.eye(graph.n_vars, dtype=bool)
     for v in range(graph.n_vars):
-        sl_v = slice(offsets[v], offsets[v + 1])
-        pattern[sl_v, sl_v] = True
-        for u in graph.neighbors(v):
-            sl_u = slice(offsets[u], offsets[u + 1])
-            pattern[sl_v, sl_u] = True
+        adjacent[v, list(graph.neighbors(v))] = True
+    pattern = adjacent[np.ix_(owner, owner)]
 
     rng = np.random.default_rng(seed)
-    raw = rng.uniform(-1.0, 1.0, size=(n, n))
-    values = np.where(pattern, (raw + raw.T) / 2.0, 0.0)
-    np.fill_diagonal(values, 0.0)
-    row_mass = np.abs(values).sum(axis=1)
-    np.fill_diagonal(values, row_mass + 1.0)
+    values = rng.uniform(-1.0, 1.0, size=(n, n))
+    # symmetrize, mask and set the diagonal row by row, in place: row i is
+    # complete once its upper part is mirrored, as earlier rows wrote the rest
+    for i in range(n):
+        upper = (values[i, i + 1:] + values[i + 1:, i]) / 2.0
+        upper[~pattern[i, i + 1:]] = 0.0
+        values[i, i + 1:] = upper
+        values[i + 1:, i] = upper
+        values[i, i] = 0.0
+        values[i, i] = np.abs(values[i]).sum() + 1.0
     return SparseSystem(values, pattern, tuple(dims), tuple(offsets[:-1]))
 
 
@@ -104,41 +115,71 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     """Right-looking sparse Cholesky under `ordering`, counting every
     scalar multiplication and division actually executed.
 
-    The update loop is driven by the structural pattern (including fill
-    created along the way), never by numeric zeros, so counts are exact
-    and reproducible. Raises NotPositiveDefiniteError naming the pivot if
-    a nonpositive pivot appears.
+    The permuted scalars are processed in runs of consecutive scalars
+    that belong to one variable (one run per variable for a block
+    ordering). Each run gathers the block of rows and columns it can
+    touch once: its own pivots plus every row in their remaining
+    pattern. A pivot only updates rows in its own pattern, and the fill
+    it creates lies among them, so every later pivot of the run stays
+    inside the block. Within the block the scalar pivot loop runs as
+    before, on contiguous slices where a pivot row is structurally dense
+    and on its pattern entries where it is not; then the block is
+    scattered back once. The grouping only decides which pivots share a
+    gather: every count, the failing index and the factor are those of
+    the unblocked loop.
+
+    The loop is driven by the structural pattern (including fill created
+    along the way), never by numeric zeros, so counts are exact and
+    reproducible. Raises NotPositiveDefiniteError naming the pivot if a
+    nonpositive pivot appears.
     """
     perm = scalar_permutation(system, ordering)
-    val = system.values[np.ix_(perm, perm)].copy()
-    pat = system.pattern[np.ix_(perm, perm)].copy()
+    # working copy: ends as the factor, upper triangle in permuted order
+    val = system.values[np.ix_(perm, perm)]
+    pat = system.pattern[np.ix_(perm, perm)]
     n = system.n
-    factor = np.zeros((n, n))
+    owner = np.repeat(np.arange(len(system.var_dims)), system.var_dims)[perm]
+    bounds = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), n]
     mult = 0
     div = 0
     fill = 0
-    for k in range(n):
-        pivot = val[k, k]
-        if pivot <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"nonpositive pivot {pivot:.6g} at elimination index {k}"
-            )
-        root = math.sqrt(pivot)
-        inv_root = 1.0 / root
-        div += 1
-        factor[k, k] = root
-        idx = np.flatnonzero(pat[k, k + 1:]) + (k + 1)
-        d = idx.size
-        if d == 0:
-            continue
-        col = val[k, idx] * inv_root
-        factor[k, idx] = col
-        mult += d + d * (d + 1) // 2
-        sub = pat[np.ix_(idx, idx)]
-        fill += (d * d - int(sub.sum())) // 2
-        pat[np.ix_(idx, idx)] = True
-        val[np.ix_(idx, idx)] -= np.outer(col, col)
-    return CholeskyCount(mult, div, fill, factor, perm)
+    for start, stop in zip(bounds, bounds[1:]):
+        # the run's pivots and every later row their pattern reaches
+        reach = np.flatnonzero(pat[start:stop, stop:].any(axis=0)) + stop
+        rows = np.concatenate((np.arange(start, stop), reach))
+        block = np.ix_(rows, rows)
+        v, p = val[block], pat[block]
+        for j in range(stop - start):
+            pivot = v[j, j]
+            if pivot <= 0.0:
+                raise NotPositiveDefiniteError(
+                    f"nonpositive pivot {pivot:.6g} at elimination index {start + j}"
+                )
+            root = math.sqrt(pivot)
+            inv_root = 1.0 / root
+            div += 1
+            v[j, j] = root
+            if p[j, j + 1:].all():  # structurally dense row: contiguous slices
+                cols = slice(j + 1, None)
+                sub = (cols, cols)
+                d = p.shape[0] - j - 1
+            else:
+                cols = np.flatnonzero(p[j, j + 1:]) + (j + 1)
+                sub = np.ix_(cols, cols)
+                d = cols.size
+            if d == 0:
+                continue
+            col = v[j, cols] * inv_root
+            v[j, cols] = col
+            mult += d + d * (d + 1) // 2
+            fill += (d * d - np.count_nonzero(p[sub])) // 2
+            p[sub] = True
+            v[sub] -= np.outer(col, col)
+        val[block] = v
+        pat[block] = p
+    for k in range(1, n):
+        val[k, :k] = 0.0
+    return CholeskyCount(mult, div, fill, val, perm)
 
 
 def solve_with_factor(count: CholeskyCount, rhs: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -339,7 +339,3 @@ def config_from_json(text: str) -> SimConfig:
         raise ValueError(f"invalid simulation config: {exc}") from None
     cfg.validate()
     return cfg
-
-
-def with_seed(config: SimConfig, seed: int) -> SimConfig:
-    return replace(config, seed=seed)

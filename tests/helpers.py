@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from typing import Sequence
+
+import numpy as np
 
 from graphelim.graph import FactorGraph, Kind
+from graphelim.oracle import (
+    CholeskyCount,
+    NotPositiveDefiniteError,
+    SparseSystem,
+    scalar_permutation,
+)
 
 
 def scalar_graph(n: int, edges) -> FactorGraph:
@@ -112,3 +122,43 @@ def count_spanning_trees(n: int, edges) -> int:
         if acyclic:
             count += 1
     return count
+
+
+def reference_cholesky_count(
+    system: SparseSystem, ordering: Sequence[int]
+) -> CholeskyCount:
+    """Scalar right-looking Cholesky: one gather and scatter per pivot.
+
+    The unblocked loop the blocked `cholesky_count` must agree with
+    exactly: same counts, same error index, same factor.
+    """
+    perm = scalar_permutation(system, ordering)
+    val = system.values[np.ix_(perm, perm)].copy()
+    pat = system.pattern[np.ix_(perm, perm)].copy()
+    n = system.n
+    factor = np.zeros((n, n))
+    mult = 0
+    div = 0
+    fill = 0
+    for k in range(n):
+        pivot = val[k, k]
+        if pivot <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"nonpositive pivot {pivot:.6g} at elimination index {k}"
+            )
+        root = math.sqrt(pivot)
+        inv_root = 1.0 / root
+        div += 1
+        factor[k, k] = root
+        idx = np.flatnonzero(pat[k, k + 1:]) + (k + 1)
+        d = idx.size
+        if d == 0:
+            continue
+        col = val[k, idx] * inv_root
+        factor[k, idx] = col
+        mult += d + d * (d + 1) // 2
+        sub = pat[np.ix_(idx, idx)]
+        fill += (d * d - int(sub.sum())) // 2
+        pat[np.ix_(idx, idx)] = True
+        val[np.ix_(idx, idx)] -= np.outer(col, col)
+    return CholeskyCount(mult, div, fill, factor, perm)

@@ -1,5 +1,8 @@
+import json
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args, cwd=None):
@@ -74,3 +77,35 @@ def test_worst_case_experiment_row_counts(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = (out / "report.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 9  # header + one row per frame
+
+
+@pytest.mark.parametrize(
+    "worst_case, field",
+    [
+        ({"n_x": 3, "n_l": 2, "bogus": 1}, "bogus"),
+        ({"n_x": 3}, "n_l"),
+        ({"n_x": "3", "n_l": 2}, "n_x"),
+        ({"n_x": 3, "n_l": 2, "d_l": 0}, "d_l"),
+        (None, "worst_case"),
+    ],
+)
+def test_bad_worst_case_manifest_exits_one(tmp_path, worst_case, field):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"worst_case": worst_case}))
+    proc = run_cli("experiment", "--manifest", str(manifest), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1, proc.stderr
+    assert field in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (("--worst-case", "0", "5"), "n_x"),
+        (("--worst-case", "3", "-1"), "n_l"),
+        (("--worst-case", "3", "2", "--seed", "-1"), "seeds"),
+    ],
+)
+def test_bad_experiment_arguments_exit_one(tmp_path, args, field):
+    proc = run_cli("experiment", *args, "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1, proc.stderr
+    assert field in proc.stderr

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -55,6 +56,33 @@ def test_spec_validation():
         tiny_spec(rates=()).validate()
     with pytest.raises(ValueError):
         tiny_spec(ordering="alphabetical").validate()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_frames", 0),
+        ("max_frames", "10"),
+        ("rates", "ab"),
+        ("rates", 4),
+        ("rates", ["a"]),
+        ("seeds", [1.5]),
+        ("frame_stride", None),
+        ("ordering", ["min_degree"]),
+    ],
+)
+def test_spec_json_rejects_bad_fields(field, value):
+    data = json.loads(spec_to_json(tiny_spec()))
+    data[field] = value
+    with pytest.raises(ValueError, match=field):
+        spec_from_json(json.dumps(data))
+
+
+def test_spec_json_rejects_unknown_worst_case_key():
+    data = json.loads(spec_to_json(tiny_spec(sim=None, worst_case=WorstCaseParams(3, 2))))
+    data["worst_case"]["bogus"] = 1
+    with pytest.raises(ValueError, match="bogus"):
+        spec_from_json(json.dumps(data))
 
 
 def test_spec_json_roundtrip():

@@ -1,13 +1,17 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphelim.elimination import scalar_mult_count, simulate_elimination
 from graphelim.oracle import (
     NotPositiveDefiniteError,
     cholesky_count,
     pearson_correlation,
+    scalar_permutation,
     solve_with_factor,
     synthesize_system,
     system_to_coo_text,
@@ -20,6 +24,7 @@ from helpers import (
     random_block_graph,
     random_ordering,
     random_scalar_graph,
+    reference_cholesky_count,
 )
 
 
@@ -52,6 +57,17 @@ def test_same_seed_same_matrix():
     b = synthesize_system(g, seed=9)
     assert (a.values == b.values).all()
     assert (synthesize_system(g, seed=10).values != a.values).any()
+
+
+def test_synthesized_system_bytes_pinned():
+    # digests of the matrix built by the original whole-matrix construction
+    system = synthesize_system(worst_case_graph(4, 5), seed=7)
+    assert hashlib.sha256(system.values.tobytes()).hexdigest() == (
+        "c987bd2fef7fe1c86c0da6b0c06ed2b2d19a8eb998810d64c2827d28b13a4e1b"
+    )
+    assert hashlib.sha256(system.pattern.tobytes()).hexdigest() == (
+        "ecab873b40145bb650417f4dfd4ee98e483fcaab9f7476e0ace58e0fe83c5570"
+    )
 
 
 def test_synthesized_matrix_is_spd():
@@ -149,6 +165,49 @@ def test_non_spd_names_pivot():
     with pytest.raises(NotPositiveDefiniteError) as err:
         cholesky_count(bad, [0, 1, 2])
     assert "index 1" in str(err.value)
+
+
+def _random_system_and_ordering(rng):
+    g = random_block_graph(
+        rng,
+        n_min=1,
+        n_max=14,
+        density=rng.uniform(0.0, 0.7),
+        connected=rng.random() < 0.5,
+    )
+    system = synthesize_system(g, seed=rng.randrange(2**32))
+    n = g.n_vars if rng.random() < 0.5 else system.n
+    return system, random_ordering(rng, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blocked_kernel_matches_scalar_reference(rng):
+    system, order = _random_system_and_ordering(rng)
+    got = cholesky_count(system, order)
+    ref = reference_cholesky_count(system, order)
+    assert (got.mult_count, got.div_count, got.fill_count) == (
+        ref.mult_count, ref.div_count, ref.fill_count,
+    )
+    assert (got.scalar_order == ref.scalar_order).all()
+    assert np.linalg.norm(got.factor - ref.factor) <= 1e-12 * np.linalg.norm(ref.factor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blocked_kernel_fails_at_reference_index(rng):
+    system, order = _random_system_and_ordering(rng)
+    broken = system.values.copy()
+    i = rng.randrange(system.n)
+    broken[i, i] = -rng.uniform(0.0, 2.0)
+    bad = type(system)(broken, system.pattern, system.var_dims, system.var_offsets)
+    with pytest.raises(NotPositiveDefiniteError) as got:
+        cholesky_count(bad, order)
+    with pytest.raises(NotPositiveDefiniteError) as ref:
+        reference_cholesky_count(bad, order)
+    assert str(got.value) == str(ref.value)
+    position = int(np.flatnonzero(scalar_permutation(bad, order) == i)[0])
+    assert str(got.value).endswith(f"elimination index {position}")
 
 
 def test_scalar_ordering_accepted():
