@@ -20,6 +20,7 @@ from .elimination import (
     EliminationTrace,
     Step,
     elimination_complexity,
+    elimination_tree,
     landmark_first_ordering,
     load_ordering,
     min_degree_ordering,

@@ -1,9 +1,9 @@
-"""Multifrontal clique trees built from an elimination.
+"""Multifrontal clique trees built from the elimination tree.
 
-Each variable's elimination clique is {var} union its higher-ordered
-neighbors in the filled graph. Consecutive variables amalgamate into one
-supernode when the later variable's elimination clique equals the earlier
-one's minus itself AND the later variable has exactly one child in the
+Each variable's elimination clique is {var} union its separator, read off
+`elimination_tree`. Consecutive variables amalgamate into one supernode
+when the later variable's elimination clique equals the earlier one's
+minus itself AND the later variable has exactly one child in the
 elimination tree (strict / fundamental supernodes, no relaxed
 amalgamation). The per-clique cost sum d_f(C) * (d_f(C) + d_s(C))^2 is
 the clique-tree analogue of the per-variable elimination cost.
@@ -11,10 +11,13 @@ the clique-tree analogue of the per-variable elimination cost.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elimination import simulate_elimination
+from .elimination import elimination_tree
+# bound here so that bench/traced.py can rebind it as a module attribute
+from .elimination import simulate_elimination  # noqa: F401
 from .graph import FactorGraph
 
 
@@ -45,9 +48,6 @@ class CliqueTree:
             raise ValueError(f"expected a single root, found {len(roots)}")
         return self.cliques[roots[0]]
 
-    def n_variables(self) -> int:
-        return sum(len(c.frontal) for c in self.cliques)
-
 
 def build_clique_tree(
     graph: FactorGraph, ordering: Sequence[int], amalgamate: bool = True
@@ -58,69 +58,41 @@ def build_clique_tree(
     clique, in which case the clique-tree cost degenerates to the
     per-variable elimination cost exactly.
     """
-    trace = simulate_elimination(graph, ordering)
-    n = graph.n_vars
-    pos = {v: i for i, v in enumerate(ordering)}
-    sep = {s.var_id: s.separator for s in trace.steps}
+    parent, sep = elimination_tree(graph, ordering)
     dims = graph.dims
+    etree_children = Counter(parent)
 
-    # elimination-tree parent: earliest-eliminated separator variable
-    etree_children = [0] * n
-    for v in ordering:
-        if sep[v]:
-            parent = min(sep[v], key=pos.__getitem__)
-            etree_children[parent] += 1
-
-    # group consecutive positions into supernodes
+    # group consecutive positions into supernodes; runs[-1][-1] is the
+    # variable eliminated just before w
     runs: list[list[int]] = []
-    current = [ordering[0]]
-    for i in range(1, n):
-        u, w = ordering[i - 1], ordering[i]
-        merged = (
-            amalgamate
-            and etree_children[w] == 1
-            and sep[u] == frozenset({w}) | sep[w]
-        )
-        if merged:
-            current.append(w)
+    for w in ordering:
+        merged = amalgamate and runs and etree_children[w] == 1
+        if merged and sep[runs[-1][-1]] == frozenset({w}) | sep[w]:
+            runs[-1].append(w)
         else:
-            runs.append(current)
-            current = [w]
-    runs.append(current)
+            runs.append([w])
 
-    clique_of_var = {}
-    for ci, run in enumerate(runs):
-        for v in run:
-            clique_of_var[v] = ci
-
-    parents: list[int | None] = []
-    for run in runs:
-        separator = sep[run[-1]]
-        if separator:
-            first_out = min(separator, key=pos.__getitem__)
-            parents.append(clique_of_var[first_out])
-        else:
-            parents.append(None)
-
+    # a clique's parent holds the tree parent of its last frontal variable
+    clique_of_var = {v: ci for ci, run in enumerate(runs) for v in run}
+    parents = [clique_of_var.get(parent[run[-1]]) for run in runs]
     children: list[list[int]] = [[] for _ in runs]
     for ci, p in enumerate(parents):
         if p is not None:
             children[p].append(ci)
 
-    cliques = []
-    for ci, run in enumerate(runs):
-        separator = sep[run[-1]]
-        cliques.append(
+    return CliqueTree(
+        tuple(
             Clique(
                 frontal=tuple(run),
-                separator=separator,
+                separator=sep[run[-1]],
                 frontal_dim=sum(dims[v] for v in run),
-                separator_dim=sum(dims[v] for v in separator),
+                separator_dim=sum(dims[v] for v in sep[run[-1]]),
                 parent=parents[ci],
                 children=tuple(children[ci]),
             )
+            for ci, run in enumerate(runs)
         )
-    return CliqueTree(tuple(cliques))
+    )
 
 
 def ec_of_clique_tree(tree: CliqueTree) -> int:

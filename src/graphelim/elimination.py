@@ -1,4 +1,4 @@
-"""Node elimination with fill tracking, elimination cost, and orderings.
+"""Elimination trees, elimination cost, fill simulation, and orderings.
 
 Eliminating a variable removes it from the elimination graph and connects
 all of its remaining neighbors into a clique; edges created this way are
@@ -11,6 +11,10 @@ and d_s(i) the summed scalar dimension of its neighbors (the separator)
 in the elimination graph at that step. This is an ordering-dependent,
 values-independent proxy for the FLOPs of the matching sparse
 factorization.
+
+The cost needs only separators, which `elimination_tree` gives in one
+pass. The pairwise fill loop, `_eliminate`, runs only where fill itself
+is wanted: the `simulate_elimination` trace and `min_degree_ordering`.
 """
 
 from __future__ import annotations
@@ -57,6 +61,23 @@ def _check_ordering(graph: FactorGraph, ordering: Sequence[int]) -> None:
         )
 
 
+def _eliminate(adj: list[set[int]], v: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Eliminate `v` in place; return its sorted neighbors and the fill pairs added."""
+    nbrs = sorted(adj[v])
+    fill: list[tuple[int, int]] = []
+    for i, u in enumerate(nbrs):
+        au = adj[u]
+        for w in nbrs[i + 1:]:
+            if w not in au:
+                au.add(w)
+                adj[w].add(u)
+                fill.append((u, w))
+    for u in nbrs:
+        adj[u].discard(v)
+    adj[v].clear()
+    return nbrs, fill
+
+
 def simulate_elimination(
     graph: FactorGraph, ordering: Sequence[int]
 ) -> EliminationTrace:
@@ -66,31 +87,45 @@ def simulate_elimination(
     dims = graph.dims
     steps: list[Step] = []
     for v in ordering:
-        nbrs = sorted(adj[v])
+        nbrs, fill = _eliminate(adj, v)
         d_s = sum(dims[u] for u in nbrs)
-        fill: list[tuple[int, int]] = []
-        for i, u in enumerate(nbrs):
-            au = adj[u]
-            for w in nbrs[i + 1:]:
-                if w not in au:
-                    au.add(w)
-                    adj[w].add(u)
-                    fill.append((u, w))
-        for u in nbrs:
-            adj[u].discard(v)
-        adj[v].clear()
-        steps.append(
-            Step(v, dims[v], d_s, frozenset(nbrs), tuple(fill))
-        )
+        steps.append(Step(v, dims[v], d_s, frozenset(nbrs), tuple(fill)))
     return EliminationTrace(tuple(steps))
+
+
+def elimination_tree(
+    graph: FactorGraph, ordering: Sequence[int]
+) -> tuple[list[int | None], list[frozenset[int]]]:
+    """Elimination-tree parent and separator of every variable under `ordering`.
+
+    One pass in elimination order: v's separator is its higher-ordered
+    neighbors joined with its children's separators, minus v itself (Liu
+    1990), and v's parent is the separator member eliminated earliest.
+    Both lists are indexed by variable id; a root's parent is None.
+    """
+    _check_ordering(graph, ordering)
+    pos = {v: i for i, v in enumerate(ordering)}
+    # union of the separators of each not yet eliminated variable's children
+    below: dict[int, set[int]] = {}
+    parent: list[int | None] = [None] * graph.n_vars
+    separator: list[frozenset[int]] = [frozenset()] * graph.n_vars
+    for v in ordering:
+        sep = below.pop(v, set())
+        sep.update(u for u in graph.neighbors(v) if pos[u] > pos[v])
+        sep.discard(v)
+        separator[v] = frozenset(sep)
+        if sep:
+            p = min(sep, key=pos.__getitem__)
+            parent[v] = p
+            below.setdefault(p, set()).update(sep)
+    return parent, separator
 
 
 def elimination_complexity(graph: FactorGraph, ordering: Sequence[int]) -> int:
     """Total elimination cost sum d_f * (d_f + d_s)^2 under `ordering`."""
-    trace = simulate_elimination(graph, ordering)
-    return sum(
-        s.frontal_dim * (s.frontal_dim + s.separator_dim) ** 2 for s in trace.steps
-    )
+    dims = graph.dims
+    _, separator = elimination_tree(graph, ordering)
+    return sum(d * (d + sum(dims[u] for u in s)) ** 2 for d, s in zip(dims, separator))
 
 
 def scalar_mult_count(graph: FactorGraph, ordering: Sequence[int]) -> int:
@@ -102,9 +137,8 @@ def scalar_mult_count(graph: FactorGraph, ordering: Sequence[int]) -> int:
     """
     if any(d != 1 for d in graph.dims):
         raise ValueError("scalar_mult_count requires all variables to have dim 1")
-    trace = simulate_elimination(graph, ordering)
-    total = sum(s.separator_dim * (s.separator_dim + 3) for s in trace.steps)
-    return total // 2
+    _, separator = elimination_tree(graph, ordering)
+    return sum(len(s) * (len(s) + 3) for s in separator) // 2
 
 
 def min_degree_ordering(graph: FactorGraph) -> list[int]:
@@ -126,19 +160,12 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
     order: list[int] = []
     while alive:
         v = min(alive, key=lambda u: (deg[u], kind_rank[u], u))
-        nbrs = sorted(adj[v])
-        for i, u in enumerate(nbrs):
-            au = adj[u]
-            for w in nbrs[i + 1:]:
-                if w not in au:
-                    au.add(w)
-                    adj[w].add(u)
-                    deg[u] += dims[w]
-                    deg[w] += dims[u]
+        nbrs, fill = _eliminate(adj, v)
+        for u, w in fill:
+            deg[u] += dims[w]
+            deg[w] += dims[u]
         for u in nbrs:
-            adj[u].discard(v)
             deg[u] -= dims[v]
-        adj[v].clear()
         alive.remove(v)
         order.append(v)
     return order

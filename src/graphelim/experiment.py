@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .cliquetree import build_clique_tree, ec_of_clique_tree
 from .elimination import ORDERING_FUNCTIONS, elimination_complexity
+from .graph import FactorGraph
 from .oracle import cholesky_count, synthesize_system
 from .pruning import (
     POLICY_NAMES,
@@ -180,17 +181,38 @@ def _source_log(spec: ExperimentSpec) -> tuple[ObservationLog, int, int, int]:
 
 
 def _cells(spec: ExperimentSpec) -> list[tuple[str, int, int]]:
+    """The pruned (policy, rate, seed) cells; the prefix loop emits `full`."""
     cells: list[tuple[str, int, int]] = []
     for policy in POLICY_NAMES:
-        if policy not in spec.policies:
+        if policy == "full" or policy not in spec.policies:
             continue
-        if policy == "full":
-            cells.append(("full", 1, 0))
-        elif policy == "rand":
+        if policy == "rand":
             cells.extend(("rand", r, s) for r in spec.rates for s in spec.seeds)
         else:
             cells.extend((policy, r, 0) for r in spec.rates)
     return cells
+
+
+# closed-form cost of a pruned policy, from the unpruned prefix's counts
+_PREDICTIONS = {"kf": predicted_ec_keyframe, "dec": predicted_ec_decimate}
+
+
+def _measure(
+    spec: ExperimentSpec, g: FactorGraph, t: int, policy: str, rate: int, seed: int,
+    predicted: int | None,
+) -> ReportRow:
+    """One report row: `g` ordered, its two costs, and the oracle's count."""
+    ordering = ORDERING_FUNCTIONS[spec.ordering](g)
+    ec = elimination_complexity(g, ordering)
+    ec_bt = ec_of_clique_tree(build_clique_tree(g, ordering))
+    oracle_mult = None
+    if spec.oracle:
+        system = synthesize_system(g, seed=0)
+        oracle_mult = cholesky_count(system, ordering).mult_count
+    return ReportRow(
+        t, policy, rate, seed, g.n_vars, len(g.factors), ec, ec_bt, oracle_mult,
+        predicted,
+    )
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
@@ -203,71 +225,46 @@ def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     sampled = frame_ids[:: spec.frame_stride]
     if frame_ids and frame_ids[-1] not in sampled:
         sampled.append(frame_ids[-1])
-    order_fn = ORDERING_FUNCTIONS[spec.ordering]
 
-    # the unpruned prefix drives prediction columns and overlay curves
+    # the unpruned prefix drives prediction columns, the full rows and overlays
     full_counts: dict[int, tuple[int, int]] = {}
-    full_ec: dict[int, int] = {}
-    need_full_curve = "full" in spec.policies
+    rows: list[ReportRow] = []
     for t in sampled:
         g = build_graph(source.prefix(t), d_x=d_x, d_l=d_l, min_obs_to_init=min_obs)
         full_counts[t] = (g.n_poses, g.n_landmarks)
-        if need_full_curve:
-            full_ec[t] = elimination_complexity(g, order_fn(g))
+        if "full" in spec.policies:
+            predicted = predicted_ec_full(g.n_poses, g.n_landmarks, d_x, d_l)
+            rows.append(_measure(spec, g, t, "full", 1, 0, predicted))
 
-    rows: list[ReportRow] = []
     for policy, rate, seed in _cells(spec):
         log.debug("cell policy=%s rate=%d seed=%d", policy, rate, seed)
         filtered = apply_policy(source, policy, rate, seed).log
+        predict = _PREDICTIONS.get(policy)
         for t in sampled:
             g = build_graph(
                 filtered.prefix(t), d_x=d_x, d_l=d_l, min_obs_to_init=min_obs
             )
             if g.n_vars == 0:
                 continue
-            ordering = order_fn(g)
-            ec = (
-                full_ec[t]
-                if policy == "full" and t in full_ec
-                else elimination_complexity(g, ordering)
-            )
-            ec_bt = ec_of_clique_tree(build_clique_tree(g, ordering))
-            oracle_mult = None
-            if spec.oracle:
-                system = synthesize_system(g, seed=0)
-                oracle_mult = cholesky_count(system, ordering).mult_count
-            n_x_t, n_l_t = full_counts[t]
-            if policy == "full":
-                predicted = predicted_ec_full(n_x_t, n_l_t, d_x, d_l)
-            elif policy == "kf":
-                predicted = predicted_ec_keyframe(n_x_t, n_l_t, d_x, d_l, rate)
-            elif policy == "dec":
-                predicted = predicted_ec_decimate(n_x_t, n_l_t, d_x, d_l, rate)
-            else:
-                predicted = None
-            rows.append(
-                ReportRow(
-                    t, policy, rate, seed, g.n_vars, len(g.factors), ec, ec_bt,
-                    oracle_mult, predicted,
-                )
-            )
+            predicted = predict and predict(*full_counts[t], d_x, d_l, rate)
+            rows.append(_measure(spec, g, t, policy, rate, seed, predicted))
 
     # dashed-line overlays: measured full curve scaled by the predicted ratios
-    if need_full_curve:
-        overlays = []
-        if "kf" in spec.policies:
-            overlays.append(("pred_kf", lambda ec, r: ec / r**3))
-        if "dec" in spec.policies:
-            overlays.append(("pred_dec", lambda ec, r: ec * 9.0 / r**2))
-        for name, scale in overlays:
-            for r in spec.rates:
-                for t in sampled:
-                    rows.append(
-                        ReportRow(
-                            t, name, r, 0, None, None, scale(full_ec[t], r),
-                            None, None, None,
-                        )
-                    )
+    full_rows = [row for row in rows if row.policy == "full"]
+    overlays = []
+    if "kf" in spec.policies:
+        overlays.append(("pred_kf", lambda ec, r: ec / r**3))
+    if "dec" in spec.policies:
+        overlays.append(("pred_dec", lambda ec, r: ec * 9.0 / r**2))
+    for name, scale in overlays:
+        for r in spec.rates:
+            rows.extend(
+                ReportRow(
+                    f.frame_idx, name, r, 0, None, None, scale(f.ec_block, r),
+                    None, None, None,
+                )
+                for f in full_rows
+            )
 
     rows.sort(key=lambda r: (_ROW_ORDER[r.policy], r.rate, r.seed, r.frame_idx))
     return rows

@@ -9,6 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
+from graphelim.cliquetree import Clique, CliqueTree
+from graphelim.elimination import simulate_elimination
 from graphelim.graph import FactorGraph, Kind
 from graphelim.oracle import (
     CholeskyCount,
@@ -84,19 +86,16 @@ def random_ordering(rng: random.Random, n: int) -> list[int]:
     return order
 
 
-def leaf_first_ordering(graph: FactorGraph) -> list[int]:
-    """Repeatedly strip a minimum-degree leaf; valid for acyclic graphs."""
-    adj = graph.adjacency()
-    alive = set(range(graph.n_vars))
-    order = []
-    while alive:
-        v = min(alive, key=lambda u: (len(adj[u]), u))
-        for u in adj[v]:
-            adj[u].discard(v)
-        adj[v].clear()
-        alive.remove(v)
-        order.append(v)
-    return order
+def random_graph_and_ordering(rng: random.Random) -> tuple[FactorGraph, list[int]]:
+    """A block graph of 1-14 variables, connected or not, and a random ordering."""
+    g = random_block_graph(
+        rng,
+        n_min=1,
+        n_max=14,
+        density=rng.uniform(0.0, 0.7),
+        connected=rng.random() < 0.5,
+    )
+    return g, random_ordering(rng, g.n_vars)
 
 
 def count_spanning_trees(n: int, edges) -> int:
@@ -162,3 +161,77 @@ def reference_cholesky_count(
         pat[np.ix_(idx, idx)] = True
         val[np.ix_(idx, idx)] -= np.outer(col, col)
     return CholeskyCount(mult, div, fill, factor, perm)
+
+
+def reference_clique_tree(
+    graph: FactorGraph, ordering: Sequence[int], amalgamate: bool = True
+) -> CliqueTree:
+    """Clique tree read off a full fill simulation.
+
+    The reference for `build_clique_tree`, which reads the same parents and
+    separators off the elimination tree; the two must be equal on every
+    nonempty graph.
+    """
+    trace = simulate_elimination(graph, ordering)
+    n = graph.n_vars
+    pos = {v: i for i, v in enumerate(ordering)}
+    sep = {s.var_id: s.separator for s in trace.steps}
+    dims = graph.dims
+
+    # elimination-tree parent: earliest-eliminated separator variable
+    etree_children = [0] * n
+    for v in ordering:
+        if sep[v]:
+            parent = min(sep[v], key=pos.__getitem__)
+            etree_children[parent] += 1
+
+    # group consecutive positions into supernodes
+    runs: list[list[int]] = []
+    current = [ordering[0]]
+    for i in range(1, n):
+        u, w = ordering[i - 1], ordering[i]
+        merged = (
+            amalgamate
+            and etree_children[w] == 1
+            and sep[u] == frozenset({w}) | sep[w]
+        )
+        if merged:
+            current.append(w)
+        else:
+            runs.append(current)
+            current = [w]
+    runs.append(current)
+
+    clique_of_var = {}
+    for ci, run in enumerate(runs):
+        for v in run:
+            clique_of_var[v] = ci
+
+    parents: list[int | None] = []
+    for run in runs:
+        separator = sep[run[-1]]
+        if separator:
+            first_out = min(separator, key=pos.__getitem__)
+            parents.append(clique_of_var[first_out])
+        else:
+            parents.append(None)
+
+    children: list[list[int]] = [[] for _ in runs]
+    for ci, p in enumerate(parents):
+        if p is not None:
+            children[p].append(ci)
+
+    cliques = []
+    for ci, run in enumerate(runs):
+        separator = sep[run[-1]]
+        cliques.append(
+            Clique(
+                frontal=tuple(run),
+                separator=separator,
+                frontal_dim=sum(dims[v] for v in run),
+                separator_dim=sum(dims[v] for v in separator),
+                parent=parents[ci],
+                children=tuple(children[ci]),
+            )
+        )
+    return CliqueTree(tuple(cliques))

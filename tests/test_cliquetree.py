@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphelim.cliquetree import (
     build_clique_tree,
@@ -12,7 +14,13 @@ from graphelim.elimination import elimination_complexity, min_degree_ordering
 from graphelim.graph import FactorGraph, Kind
 from graphelim.simulate import worst_case_graph
 
-from helpers import path_graph, random_block_graph, random_ordering
+from helpers import (
+    path_graph,
+    random_block_graph,
+    random_graph_and_ordering,
+    random_ordering,
+    reference_clique_tree,
+)
 
 
 def test_single_variable_tree():
@@ -103,3 +111,20 @@ def test_format_dump_golden():
     g = worst_case_graph(2, 2, 1, 1)
     tree = build_clique_tree(g, [2, 3, 0, 1])
     assert format_clique_tree(tree) == "[0 1 | ]\n  [2 | 0 1]\n  [3 | 0 1]\n"
+
+
+def test_empty_graph_gives_empty_tree():
+    tree = build_clique_tree(FactorGraph(), [])
+    assert tree.cliques == ()
+    assert ec_of_clique_tree(tree) == elimination_complexity(FactorGraph(), []) == 0
+    assert format_clique_tree(tree) == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_matches_fill_simulation_reference(rng):
+    g, order = random_graph_and_ordering(rng)
+    for amalgamate in (True, False):
+        assert build_clique_tree(g, order, amalgamate) == reference_clique_tree(
+            g, order, amalgamate
+        )

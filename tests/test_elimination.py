@@ -1,9 +1,13 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphelim.elimination import (
     elimination_complexity,
+    elimination_tree,
     landmark_first_ordering,
     load_ordering,
     min_degree_ordering,
@@ -19,9 +23,9 @@ from graphelim.simulate import worst_case_graph
 
 from helpers import (
     complete_graph,
-    leaf_first_ordering,
     path_graph,
     random_block_graph,
+    random_graph_and_ordering,
     random_ordering,
     random_scalar_graph,
     random_tree_graph,
@@ -55,10 +59,11 @@ def test_worst_case_2x2_landmark_first_trace():
 
 def test_rejects_non_permutation():
     g = path_graph(3)
-    with pytest.raises(ValueError):
-        simulate_elimination(g, [0, 1])
-    with pytest.raises(ValueError):
-        simulate_elimination(g, [0, 1, 1])
+    for fn in (simulate_elimination, elimination_tree, elimination_complexity):
+        with pytest.raises(ValueError):
+            fn(g, [0, 1])
+        with pytest.raises(ValueError):
+            fn(g, [0, 1, 1])
 
 
 def test_trace_invariants_random():
@@ -77,6 +82,56 @@ def test_trace_invariants_random():
                 assert frozenset((u, v)) not in seen_edges
                 seen_edges.add(frozenset((u, v)))
             eliminated.add(step.var_id)
+
+
+# -- elimination_tree ------------------------------------------------------------
+
+
+def test_elimination_tree_path_middle_first():
+    parent, separator = elimination_tree(path_graph(3), [1, 0, 2])
+    assert separator == [frozenset({2}), frozenset({0, 2}), frozenset()]
+    assert parent == [2, 0, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_elimination_tree_separators_match_fill_simulation(rng):
+    g, order = random_graph_and_ordering(rng)
+    _, separator = elimination_tree(g, order)
+    for step in simulate_elimination(g, order).steps:
+        assert separator[step.var_id] == step.separator
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_elimination_tree_parent_is_earliest_separator_member(rng):
+    g, order = random_graph_and_ordering(rng)
+    parent, separator = elimination_tree(g, order)
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        if separator[v]:
+            assert parent[v] == min(separator[v], key=pos.__getitem__)
+        else:
+            assert parent[v] is None
+
+
+def test_filled_graph_is_chordal_and_ordering_is_perfect():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    for _ in range(100):
+        g, order = random_graph_and_ordering(rng)
+        _, separator = elimination_tree(g, order)
+        filled = nx.Graph()
+        filled.add_nodes_from(range(g.n_vars))
+        filled.add_edges_from((u, w) for u in range(g.n_vars) for w in g.neighbors(u))
+        filled.add_edges_from((v, u) for v in range(g.n_vars) for u in separator[v])
+        assert nx.is_chordal(filled)
+        pos = {v: i for i, v in enumerate(order)}
+        for v in order:
+            later = {u for u in filled.neighbors(v) if pos[u] > pos[v]}
+            assert later == separator[v]
+            for a, b in itertools.combinations(separator[v], 2):
+                assert filled.has_edge(a, b)
 
 
 # -- elimination_complexity ----------------------------------------------------
@@ -136,7 +191,7 @@ def test_tree_leaf_first_fill_free():
     rng = random.Random(3)
     for _ in range(50):
         g = random_tree_graph(rng, rng.randint(2, 40))
-        order = leaf_first_ordering(g)
+        order = min_degree_ordering(g)
         assert simulate_elimination(g, order).total_fill_edges() == 0
 
 

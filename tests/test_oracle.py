@@ -22,6 +22,7 @@ from helpers import (
     complete_graph,
     path_graph,
     random_block_graph,
+    random_graph_and_ordering,
     random_ordering,
     random_scalar_graph,
     reference_cholesky_count,
@@ -168,16 +169,11 @@ def test_non_spd_names_pivot():
 
 
 def _random_system_and_ordering(rng):
-    g = random_block_graph(
-        rng,
-        n_min=1,
-        n_max=14,
-        density=rng.uniform(0.0, 0.7),
-        connected=rng.random() < 0.5,
-    )
+    g, block_order = random_graph_and_ordering(rng)
     system = synthesize_system(g, seed=rng.randrange(2**32))
-    n = g.n_vars if rng.random() < 0.5 else system.n
-    return system, random_ordering(rng, n)
+    if rng.random() < 0.5:
+        return system, block_order
+    return system, random_ordering(rng, system.n)
 
 
 @settings(max_examples=150, deadline=None)
