@@ -87,7 +87,6 @@ from .simulate import (
     config_from_json,
     config_to_json,
     default_config,
-    load_log,
     log_from_text,
     log_to_text,
     save_log,

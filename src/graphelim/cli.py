@@ -185,7 +185,6 @@ def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
         ordering=args.ordering,
         oracle=args.oracle,
         frame_stride=args.stride,
-        max_frames=None,
     )
     spec.validate()
     return spec

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .cliquetree import build_clique_tree, ec_of_clique_tree
 from .elimination import ORDERING_FUNCTIONS, elimination_complexity
-from .graph import FactorGraph
+from .graph import FactorGraph, ParseError
 from .oracle import cholesky_count, synthesize_system
 from .pruning import (
     POLICY_NAMES,
@@ -33,6 +33,7 @@ from .simulate import (
     ObservationLog,
     SimConfig,
     build_graph,
+    check_int,
     config_from_json,
     simulate_trajectory,
     worst_case_log,
@@ -75,11 +76,6 @@ def worst_case_from_json(data) -> WorstCaseParams:
         raise ValueError(f"invalid worst_case: {exc}") from None
 
 
-def _check_int(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Fully serializable description of one experiment run."""
@@ -92,7 +88,6 @@ class ExperimentSpec:
     ordering: str = "min_degree"
     oracle: bool = False
     frame_stride: int = 1
-    max_frames: int | None = None
 
     def validate(self) -> None:
         if (self.sim is None) == (self.worst_case is None):
@@ -101,7 +96,7 @@ class ExperimentSpec:
             self.sim.validate()
         if self.worst_case is not None:
             for name, low in (("n_x", 1), ("n_l", 0), ("d_x", 1), ("d_l", 1)):
-                _check_int(f"worst_case.{name}", getattr(self.worst_case, name), low)
+                check_int(f"worst_case.{name}", getattr(self.worst_case, name), low)
         unknown = [p for p in self.policies if p not in POLICY_NAMES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}")
@@ -110,14 +105,14 @@ class ExperimentSpec:
         if not self.rates:
             raise ValueError("rates must be a nonempty list of integers >= 1")
         for r in self.rates:
-            _check_int("rates", r, 1)
+            check_int("rates", r, 1)
         if not self.seeds:
             raise ValueError("need at least one seed")
         for seed in self.seeds:
-            _check_int("seeds", seed, 0)
-        _check_int("frame_stride", self.frame_stride, 1)
-        if self.max_frames is not None:
-            _check_int("max_frames", self.max_frames, 1)
+            check_int("seeds", seed, 0)
+        check_int("frame_stride", self.frame_stride, 1)
+        if not isinstance(self.oracle, bool):
+            raise ValueError(f"oracle must be true or false, got {self.oracle!r}")
 
 
 def spec_to_json(spec: ExperimentSpec) -> str:
@@ -149,9 +144,8 @@ def spec_from_json(text: str) -> ExperimentSpec:
         rates=_list_field(data, "rates", (4, 6)),
         seeds=_list_field(data, "seeds", (0,)),
         ordering=data.get("ordering", "min_degree"),
-        oracle=bool(data.get("oracle", False)),
+        oracle=data.get("oracle", False),
         frame_stride=data.get("frame_stride", 1),
-        max_frames=data.get("max_frames"),
     )
     spec.validate()
     return spec
@@ -218,8 +212,6 @@ def _measure(
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
     spec.validate()
     source, d_x, d_l, min_obs = _source_log(spec)
-    if spec.max_frames is not None:
-        source = source.prefix(spec.max_frames - 1)
 
     frame_ids = [f.index for f in source.frames]
     sampled = frame_ids[:: spec.frame_stride]
@@ -316,20 +308,27 @@ def read_report_csv(path: str | Path) -> list[ReportRow]:
     for rec in reader:
         if not rec:
             continue
-        rows.append(
-            ReportRow(
-                frame_idx=int(rec[0]),
-                policy=rec[1],
-                rate=int(rec[2]),
-                seed=int(rec[3]),
-                n_vars=_parse_opt_int(rec[4]),
-                n_factors=_parse_opt_int(rec[5]),
-                ec_block=float(rec[6]),
-                ec_bt=_parse_opt_int(rec[7]),
-                oracle_mult_count=_parse_opt_int(rec[8]),
-                predicted_ec=_parse_opt_int(rec[9]),
+        try:
+            if len(rec) != len(CSV_HEADER):
+                raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(rec)}")
+            if rec[1] not in _ROW_ORDER:
+                raise ValueError(f"unknown policy {rec[1]!r}")
+            rows.append(
+                ReportRow(
+                    frame_idx=int(rec[0]),
+                    policy=rec[1],
+                    rate=int(rec[2]),
+                    seed=int(rec[3]),
+                    n_vars=_parse_opt_int(rec[4]),
+                    n_factors=_parse_opt_int(rec[5]),
+                    ec_block=float(rec[6]),
+                    ec_bt=_parse_opt_int(rec[7]),
+                    oracle_mult_count=_parse_opt_int(rec[8]),
+                    predicted_ec=_parse_opt_int(rec[9]),
+                )
             )
-        )
+        except ValueError as exc:
+            raise ParseError(str(path), reader.line_num, str(exc)) from None
     return rows
 
 

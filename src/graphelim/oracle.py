@@ -121,12 +121,15 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     touch once: its own pivots plus every row in their remaining
     pattern. A pivot only updates rows in its own pattern, and the fill
     it creates lies among them, so every later pivot of the run stays
-    inside the block. Within the block the scalar pivot loop runs as
-    before, on contiguous slices where a pivot row is structurally dense
-    and on its pattern entries where it is not; then the block is
-    scattered back once. The grouping only decides which pivots share a
-    gather: every count, the failing index and the factor are those of
-    the unblocked loop.
+    inside the block. Within the block the scalar pivot loop runs on
+    contiguous slices, because every pivot row of a run is dense over its
+    block: in a `synthesize_system` pattern all scalars of a variable
+    share one pattern and a dense diagonal block, and elimination keeps
+    this, since a pivot's fill joins all or none of each variable's
+    scalars. A pattern without this block structure raises ValueError.
+    Then the block is scattered back once. The grouping only decides
+    which pivots share a gather: every count, the failing index and the
+    factor are those of the unblocked loop.
 
     The loop is driven by the structural pattern (including fill created
     along the way), never by numeric zeros, so counts are exact and
@@ -159,22 +162,18 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
             inv_root = 1.0 / root
             div += 1
             v[j, j] = root
-            if p[j, j + 1:].all():  # structurally dense row: contiguous slices
-                cols = slice(j + 1, None)
-                sub = (cols, cols)
-                d = p.shape[0] - j - 1
-            else:
-                cols = np.flatnonzero(p[j, j + 1:]) + (j + 1)
-                sub = np.ix_(cols, cols)
-                d = cols.size
+            rest = slice(j + 1, None)
+            if not p[j, rest].all():
+                raise ValueError(f"pattern not block-structured at pivot {start + j}")
+            d = p.shape[0] - j - 1
             if d == 0:
                 continue
-            col = v[j, cols] * inv_root
-            v[j, cols] = col
+            col = v[j, rest] * inv_root
+            v[j, rest] = col
             mult += d + d * (d + 1) // 2
-            fill += (d * d - np.count_nonzero(p[sub])) // 2
-            p[sub] = True
-            v[sub] -= np.outer(col, col)
+            fill += (d * d - np.count_nonzero(p[rest, rest])) // 2
+            p[rest, rest] = True
+            v[rest, rest] -= np.outer(col, col)
         val[block] = v
         pat[block] = p
     for k in range(1, n):

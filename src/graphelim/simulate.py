@@ -63,20 +63,28 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_frames < 2:
-            raise ValueError("n_frames must be >= 2")
-        if self.min_obs_to_init < 2:
-            raise ValueError("min_obs_to_init must be >= 2")
-        if self.landmark_count < 0:
-            raise ValueError("landmark_count must be >= 0")
+        check_int("n_frames", self.n_frames, 2)
+        check_int("min_obs_to_init", self.min_obs_to_init, 2)
+        check_int("landmark_count", self.landmark_count, 0)
+        check_int("d_x", self.d_x, 1)
+        check_int("d_l", self.d_l, 1)
+        check_int("seed", self.seed, 0)
+        for part in ("trajectory", "landmark_region", "visibility"):
+            for key, value in asdict(getattr(self, part)).items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"{part}.{key} must be a number, got {value!r}")
         if self.landmark_region.area() <= 0:
             raise ValueError("landmark_region must have positive area")
-        if self.d_x < 1 or self.d_l < 1:
-            raise ValueError("variable dims must be >= 1")
         if self.trajectory.step <= 0 or self.trajectory.wavelength <= 0:
             raise ValueError("trajectory step and wavelength must be positive")
         if self.visibility.max_range < 0 or self.visibility.field_of_view < 0:
             raise ValueError("visibility parameters must be nonnegative")
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Reject a non-integer (bools included) or one below `low`, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def default_config(
@@ -152,23 +160,14 @@ def worst_case_graph(
 
     Poses 0..n_x-1 are chained by odometry; landmarks n_x..n_x+n_l-1 each
     share a binary factor with every pose. No landmark-landmark and no
-    non-consecutive pose-pose factors exist.
+    non-consecutive pose-pose factors exist. It is the graph of
+    `worst_case_log` with every landmark initialized on its first sighting.
     """
     if n_x < 1:
         raise ValueError("need at least one pose")
     if n_l < 0:
         raise ValueError("landmark count must be >= 0")
-    g = FactorGraph()
-    for _ in range(n_x):
-        g.add_variable(Kind.POSE, d_x)
-    for _ in range(n_l):
-        g.add_variable(Kind.LANDMARK, d_l)
-    for i in range(n_x - 1):
-        g.add_factor((i, i + 1))
-    for j in range(n_l):
-        for i in range(n_x):
-            g.add_factor((i, n_x + j))
-    return g
+    return build_graph(worst_case_log(n_x, n_l), d_x, d_l, min_obs_to_init=1)
 
 
 def worst_case_log(n_frames: int, n_landmarks: int) -> ObservationLog:
@@ -228,28 +227,28 @@ def build_graph(
 
     One pose per retained frame, odometry chaining consecutive retained
     frames, and one landmark variable per landmark with at least
-    `min_obs_to_init` retained observations (one binary factor per
-    retained observation). Landmarks below the threshold never enter the
-    graph.
+    `min_obs_to_init` retained observations (one binary factor per frame
+    that observes it). Landmarks below the threshold never enter the graph.
+    Frame indices must strictly increase, as in every log this package
+    reads or makes; the graph depends only on the frames' order.
     """
     g = FactorGraph()
-    pose_var: dict[int, int] = {}
+    # each landmark's observing pose per observation: the list's length is
+    # its observation count, its distinct entries the poses it is tied to
+    seen_from: dict[int, list[int]] = {}
     for f in log.frames:
-        pose_var[f.index] = g.add_variable(Kind.POSE, d_x)
-
-    counts: dict[int, int] = {}
-    for f in log.frames:
+        x = g.add_variable(Kind.POSE, d_x)
         for lm in f.observations:
-            counts[lm] = counts.get(lm, 0) + 1
-    initialized = sorted(lm for lm, c in counts.items() if c >= min_obs_to_init)
-    lm_var = {lm: g.add_variable(Kind.LANDMARK, d_l) for lm in initialized}
+            seen_from.setdefault(lm, []).append(x)
+    for x in range(1, len(log.frames)):
+        g.add_factor((x - 1, x))
 
-    for prev, cur in zip(log.frames, log.frames[1:]):
-        g.add_factor((pose_var[prev.index], pose_var[cur.index]))
-    for lm in initialized:
-        for f in log.frames:
-            if lm in f.observations:
-                g.add_factor((pose_var[f.index], lm_var[lm]))
+    for lm in sorted(seen_from):
+        poses = seen_from[lm]
+        if len(poses) >= min_obs_to_init:
+            lm_var = g.add_variable(Kind.LANDMARK, d_l)
+            for x in dict.fromkeys(poses):
+                g.add_factor((x, lm_var))
     return g
 
 
@@ -257,6 +256,8 @@ def build_graph(
 #
 # Log format, UTF-8, LF: a `FRAME <idx>` line opens each frame, followed by
 # one `OBS <landmark_id>` line per observation. Comments start with '#'.
+# Frame indices strictly increase, ids are nonnegative and a frame lists a
+# landmark at most once; `log_from_text` rejects a line that breaks this.
 
 
 def log_to_text(log: ObservationLog) -> str:
@@ -277,7 +278,7 @@ def log_from_text(
 ) -> ObservationLog:
     frames: list[Frame] = []
     cur_idx: int | None = None
-    cur_obs: list[int] = []
+    cur_obs: dict[int, None] = {}  # insertion-ordered set of the frame's landmarks
     max_lm = -1
 
     def flush() -> None:
@@ -291,14 +292,21 @@ def log_from_text(
         fields = line.split()
         try:
             if fields[0] == "FRAME" and len(fields) == 2:
+                idx = int(fields[1])
+                if idx <= (-1 if cur_idx is None else cur_idx):
+                    raise ValueError(f"frame index {idx} is negative or not increasing")
                 flush()
-                cur_idx = int(fields[1])
-                cur_obs = []
+                cur_idx = idx
+                cur_obs = {}
             elif fields[0] == "OBS" and len(fields) == 2:
                 if cur_idx is None:
                     raise ValueError("OBS before any FRAME")
                 lm = int(fields[1])
-                cur_obs.append(lm)
+                if lm < 0:
+                    raise ValueError(f"negative landmark id {lm}")
+                if lm in cur_obs:
+                    raise ValueError(f"landmark {lm} repeated in frame {cur_idx}")
+                cur_obs[lm] = None
                 max_lm = max(max_lm, lm)
             else:
                 raise ValueError(f"unknown record {line!r}")
@@ -310,13 +318,6 @@ def log_from_text(
     )
 
 
-def load_log(path: str | Path, n_landmarks: int | None = None) -> ObservationLog:
-    path = Path(path)
-    return log_from_text(
-        path.read_text(encoding="utf-8"), source=str(path), n_landmarks=n_landmarks
-    )
-
-
 def config_to_json(config: SimConfig) -> str:
     return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
 
@@ -325,15 +326,15 @@ def config_from_json(text: str) -> SimConfig:
     data = json.loads(text)
     try:
         cfg = SimConfig(
-            n_frames=int(data["n_frames"]),
+            n_frames=data["n_frames"],
             trajectory=Trajectory(**data["trajectory"]),
-            landmark_count=int(data["landmark_count"]),
+            landmark_count=data["landmark_count"],
             landmark_region=Region(**data["landmark_region"]),
             visibility=Visibility(**data["visibility"]),
-            min_obs_to_init=int(data.get("min_obs_to_init", 2)),
-            d_x=int(data.get("d_x", DEFAULT_POSE_DIM)),
-            d_l=int(data.get("d_l", DEFAULT_LANDMARK_DIM)),
-            seed=int(data.get("seed", 0)),
+            min_obs_to_init=data.get("min_obs_to_init", 2),
+            d_x=data.get("d_x", DEFAULT_POSE_DIM),
+            d_l=data.get("d_l", DEFAULT_LANDMARK_DIM),
+            seed=data.get("seed", 0),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"invalid simulation config: {exc}") from None

@@ -18,6 +18,11 @@ from graphelim.oracle import (
     SparseSystem,
     scalar_permutation,
 )
+from graphelim.simulate import (
+    DEFAULT_LANDMARK_DIM,
+    DEFAULT_POSE_DIM,
+    ObservationLog,
+)
 
 
 def scalar_graph(n: int, edges) -> FactorGraph:
@@ -235,3 +240,60 @@ def reference_clique_tree(
             )
         )
     return CliqueTree(tuple(cliques))
+
+
+def reference_build_graph(
+    log: ObservationLog,
+    d_x: int = DEFAULT_POSE_DIM,
+    d_l: int = DEFAULT_LANDMARK_DIM,
+    min_obs_to_init: int = 2,
+) -> FactorGraph:
+    """Graph builder that counts observations, then rescans every frame
+    once per initialized landmark.
+
+    The reference for the one-pass `build_graph`: equal variables and
+    equal factor tuples, in the same order, on every log whose frame
+    indices strictly increase.
+    """
+    g = FactorGraph()
+    pose_var: dict[int, int] = {}
+    for f in log.frames:
+        pose_var[f.index] = g.add_variable(Kind.POSE, d_x)
+
+    counts: dict[int, int] = {}
+    for f in log.frames:
+        for lm in f.observations:
+            counts[lm] = counts.get(lm, 0) + 1
+    initialized = sorted(lm for lm, c in counts.items() if c >= min_obs_to_init)
+    lm_var = {lm: g.add_variable(Kind.LANDMARK, d_l) for lm in initialized}
+
+    for prev, cur in zip(log.frames, log.frames[1:]):
+        g.add_factor((pose_var[prev.index], pose_var[cur.index]))
+    for lm in initialized:
+        for f in log.frames:
+            if lm in f.observations:
+                g.add_factor((pose_var[f.index], lm_var[lm]))
+    return g
+
+
+def reference_worst_case_graph(
+    n_x: int,
+    n_l: int,
+    d_x: int = DEFAULT_POSE_DIM,
+    d_l: int = DEFAULT_LANDMARK_DIM,
+) -> FactorGraph:
+    """The worst-case graph written out loop by loop: odometry first, then
+    each landmark's factors to every pose. The reference for
+    `worst_case_graph`, whose text must equal this graph's byte for byte.
+    """
+    g = FactorGraph()
+    for _ in range(n_x):
+        g.add_variable(Kind.POSE, d_x)
+    for _ in range(n_l):
+        g.add_variable(Kind.LANDMARK, d_l)
+    for i in range(n_x - 1):
+        g.add_factor((i, i + 1))
+    for j in range(n_l):
+        for i in range(n_x):
+            g.add_factor((i, n_x + j))
+    return g

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from graphelim.experiment import CSV_HEADER
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -109,3 +111,34 @@ def test_bad_experiment_arguments_exit_one(tmp_path, args, field):
     proc = run_cli("experiment", *args, "--out", str(tmp_path / "x"))
     assert proc.returncode == 1, proc.stderr
     assert field in proc.stderr
+
+
+def test_manifest_with_non_numeric_field_exits_one(tmp_path):
+    data = tmp_path / "data"
+    assert run_cli("gen", "--frames", "20", "--landmarks", "10", "--out", str(data)).returncode == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["trajectory"]["amplitude"] = "x"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("experiment", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1, proc.stderr
+    assert "amplitude" in proc.stderr
+
+
+_GOOD_ROW = "0,full,1,0,1,0,216.000,216,,216"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "0,full,1,0,1,0,216.000,216,",  # short row
+        "0,full,1,0,1,0,216.000,216,,216,7",  # long row
+        "0,foo,1,0,1,0,216.000,216,,216",  # unknown policy
+        "0,full,1,0,1,0,big,216,,216",  # bad number
+    ],
+)
+def test_malformed_report_csv_exits_one(tmp_path, row):
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text(f"{','.join(CSV_HEADER)}\n{_GOOD_ROW}\n{row}\n")
+    proc = run_cli("report", "--csv", str(csv_path), "--out", str(tmp_path / "rep"))
+    assert proc.returncode == 1, proc.stderr
+    assert f"{csv_path}:3:" in proc.stderr

@@ -61,8 +61,8 @@ def test_spec_validation():
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("max_frames", 0),
-        ("max_frames", "10"),
+        ("oracle", "no"),
+        ("oracle", 1),
         ("rates", "ab"),
         ("rates", 4),
         ("rates", ["a"]),

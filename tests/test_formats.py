@@ -1,0 +1,134 @@
+"""Round-trip and parse-error properties of the graph, log and ordering text.
+
+Each parse-error property inserts one malformed line into valid text and
+expects a ParseError that names exactly that line.
+"""
+
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphelim.elimination import load_ordering, save_ordering
+from graphelim.graph import ParseError, graph_from_text, graph_to_text
+from graphelim.simulate import Frame, ObservationLog, log_from_text, log_to_text
+
+from helpers import random_graph_and_ordering
+
+
+@st.composite
+def contract_logs(draw):
+    """Logs that meet the text contract: strictly increasing nonnegative
+    frame indices, each landmark at most once per frame."""
+    index = draw(st.integers(0, 5))
+    frames = []
+    for _ in range(draw(st.integers(0, 8))):
+        lms = draw(st.lists(st.integers(0, 9), max_size=6, unique=True))
+        frames.append(Frame(index, tuple(lms)))
+        index += draw(st.integers(1, 4))
+    return ObservationLog(tuple(frames), 10)
+
+
+def _insert(text: str, at: int, line: str) -> tuple[str, int]:
+    """`text` with `line` inserted before line `at` (0-based), and the
+    inserted line's 1-based number."""
+    lines = text.splitlines()
+    at = min(at, len(lines))
+    return "\n".join(lines[:at] + [line] + lines[at:]) + "\n", at + 1
+
+
+def _parse_error_line(parse, text: str) -> int:
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return err.value.line_no
+
+
+# -- graph -----------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_graph_text_roundtrip(rng):
+    g, _ = random_graph_and_ordering(rng)
+    text = graph_to_text(g)
+    parsed = graph_from_text(text)
+    assert graph_to_text(parsed) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    at=st.integers(0, 200),
+    bad=st.sampled_from(
+        ["V -1 POSE 1", "V 0 ROBOT 1", "V 0 POSE x", "V 0 POSE", "F -1 0",
+         "F 0", "F 0 0 x", "E 0 1", "V 0 POSE 1 2"]
+    ),
+)
+def test_graph_text_parse_error_names_line(rng, at, bad):
+    g, _ = random_graph_and_ordering(rng)
+    text, line_no = _insert(graph_to_text(g), at, bad)
+    assert _parse_error_line(graph_from_text, text) == line_no
+
+
+# -- log ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=contract_logs())
+def test_log_text_roundtrip(log):
+    assert log_from_text(log_to_text(log), n_landmarks=log.n_landmarks) == log
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log=contract_logs(),
+    at=st.integers(0, 60),
+    bad=st.sampled_from(
+        ["FRAME -1", "FRAME x", "FRAME", "OBS -3", "OBS 1.5", "OBS 1 2", "POSE 0"]
+    ),
+)
+def test_log_text_parse_error_names_line(log, at, bad):
+    text, line_no = _insert(log_to_text(log), at, bad)
+    assert _parse_error_line(log_from_text, text) == line_no
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=contract_logs(), pick=st.integers(0, 60))
+def test_log_text_repeat_errors_name_line(log, pick):
+    """Repeating a frame's header or one of its observations breaks the
+    contract on the repeated line."""
+    lines = log_to_text(log).splitlines()
+    if not lines:
+        return
+    at = pick % len(lines)
+    text, line_no = _insert("\n".join(lines), at + 1, lines[at])
+    assert _parse_error_line(log_from_text, text) == line_no
+
+
+# -- ordering ------------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(ordering=st.lists(st.integers(0, 10**6), max_size=12))
+def test_ordering_text_roundtrip(ordering):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ordering.txt"
+        save_ordering(ordering, path)
+        assert load_ordering(path) == ordering
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ordering=st.lists(st.integers(0, 50), max_size=12),
+    at=st.integers(0, 12),
+    bad=st.sampled_from(["x", "1.5", "1 2", "--3"]),
+)
+def test_ordering_text_parse_error_names_line(ordering, at, bad):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ordering.txt"
+        save_ordering(ordering, path)
+        text, line_no = _insert(path.read_text(encoding="utf-8"), at, bad)
+        path.write_text(text, encoding="utf-8")
+        assert _parse_error_line(load_ordering, path) == line_no

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from graphelim.elimination import scalar_mult_count, simulate_elimination
 from graphelim.oracle import (
     NotPositiveDefiniteError,
+    SparseSystem,
     cholesky_count,
     pearson_correlation,
     scalar_permutation,
@@ -166,6 +167,17 @@ def test_non_spd_names_pivot():
     with pytest.raises(NotPositiveDefiniteError) as err:
         cholesky_count(bad, [0, 1, 2])
     assert "index 1" in str(err.value)
+
+
+def test_pattern_without_block_structure_rejected():
+    # variable 0 spans scalars 0 and 1, but only scalar 1 is tied to variable 1
+    pattern = np.eye(3, dtype=bool)
+    pattern[0, 1] = pattern[1, 0] = pattern[1, 2] = pattern[2, 1] = True
+    values = np.where(pattern, 0.5, 0.0) + 2.0 * np.eye(3)
+    system = SparseSystem(values, pattern, (2, 1), (0, 2))
+    with pytest.raises(ValueError, match="block-structured at pivot 0"):
+        cholesky_count(system, [0, 1])
+    reference_cholesky_count(system, [0, 1])  # the scalar loop takes any pattern
 
 
 def _random_system_and_ordering(rng):

@@ -1,13 +1,17 @@
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphelim.elimination import (
     elimination_complexity,
     landmark_first_ordering,
     min_degree_ordering,
 )
-from graphelim.graph import Kind, ParseError
+from graphelim.graph import Kind, ParseError, graph_to_text
+from graphelim.pruning import POLICY_NAMES, apply_policy
 from graphelim.simulate import (
     Frame,
     ObservationLog,
@@ -25,6 +29,8 @@ from graphelim.simulate import (
     worst_case_graph,
     worst_case_log,
 )
+
+from helpers import reference_build_graph, reference_worst_case_graph
 
 
 def small_config(**overrides):
@@ -58,6 +64,15 @@ def test_worst_case_triangle():
     g = worst_case_graph(2, 1, 1, 1)
     assert len(g.factors) == 3
     assert g.neighbors(2) == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "n_x, n_l", [(300, 600), (120, 240), (3, 4), (2, 0), (1, 5), (1, 0)]
+)
+def test_worst_case_text_equals_generator_loop(n_x, n_l):
+    assert graph_to_text(worst_case_graph(n_x, n_l)) == graph_to_text(
+        reference_worst_case_graph(n_x, n_l)
+    )
 
 
 def test_worst_case_structure_invariants():
@@ -113,6 +128,39 @@ def test_build_graph_on_full_worst_case_log_matches_generator():
     assert build_graph(log, d_x=6, d_l=3) == worst_case_graph(5, 3, 6, 3)
 
 
+@st.composite
+def observation_logs(draw):
+    """Logs with strictly increasing frame indices; a frame may list a
+    landmark more than once."""
+    index = draw(st.integers(0, 3))
+    frames = []
+    for _ in range(draw(st.integers(0, 8))):
+        frames.append(Frame(index, tuple(draw(st.lists(st.integers(0, 5), max_size=6)))))
+        index += draw(st.integers(1, 3))
+    return ObservationLog(tuple(frames), 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log=observation_logs(),
+    policy=st.sampled_from(POLICY_NAMES),
+    rate=st.integers(1, 4),
+    seed=st.integers(0, 3),
+    min_obs=st.integers(1, 3),
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 3)),
+)
+def test_build_graph_matches_reference(log, policy, rate, seed, min_obs, dims):
+    sources = [log]
+    if log.frames:  # the policies take logs that meet the log text contract
+        once = [Frame(f.index, tuple(dict.fromkeys(f.observations))) for f in log.frames]
+        sources.append(apply_policy(ObservationLog(tuple(once), 6), policy, rate, seed).log)
+    for source in sources:
+        got = build_graph(source, *dims, min_obs_to_init=min_obs)
+        want = reference_build_graph(source, *dims, min_obs_to_init=min_obs)
+        assert got.variables == want.variables
+        assert [f.vars for f in got.factors] == [f.vars for f in want.factors]
+
+
 def test_landmark_below_threshold_is_absent():
     frames = (Frame(0, (0, 1)), Frame(1, (0,)), Frame(2, (0,)))
     g = build_graph(ObservationLog(frames, 2), d_x=2, d_l=1, min_obs_to_init=2)
@@ -162,6 +210,22 @@ def test_log_parse_error_line():
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        ("FRAME 0\nFRAME 0\n", 2),
+        ("FRAME 3\nOBS 1\nFRAME 2\n", 3),
+        ("FRAME 0\nOBS 1\nOBS 2\nOBS 1\n", 4),
+        ("FRAME -1\n", 1),
+        ("FRAME 0\nOBS -2\n", 2),
+    ],
+)
+def test_log_contract_violations_rejected(text, line_no):
+    with pytest.raises(ParseError) as err:
+        log_from_text(text)
+    assert err.value.line_no == line_no
+
+
 def test_obs_before_frame_rejected():
     with pytest.raises(ParseError):
         log_from_text("OBS 0\n")
@@ -175,6 +239,29 @@ def test_config_json_roundtrip():
 def test_config_json_missing_field():
     with pytest.raises(ValueError):
         config_from_json('{"n_frames": 10}')
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_frames", 40.9),
+        ("seed", 1.5),
+        ("landmark_count", "25"),
+        ("d_x", True),
+        ("trajectory.amplitude", "x"),
+        ("visibility.max_range", None),
+        ("landmark_region.x_min", False),
+    ],
+)
+def test_config_json_rejects_wrong_types(field, value):
+    data = json.loads(config_to_json(small_config()))
+    *parents, key = field.split(".")
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ValueError, match=field):
+        config_from_json(json.dumps(data))
 
 
 def test_first_seen_and_counts():
