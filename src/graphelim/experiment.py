@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .cliquetree import build_clique_tree, ec_of_clique_tree
@@ -107,7 +107,7 @@ class ExperimentSpec:
         for r in self.rates:
             check_int("rates", r, 1)
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise ValueError("seeds must be a nonempty list of integers >= 0")
         for seed in self.seeds:
             check_int("seeds", seed, 0)
         check_int("frame_stride", self.frame_stride, 1)
@@ -131,6 +131,9 @@ def spec_from_json(text: str) -> ExperimentSpec:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("spec must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(ExperimentSpec)})
+    if unknown:
+        raise ValueError(f"unknown spec keys {unknown}")
     sim = None
     if data.get("sim") is not None:
         sim = config_from_json(json.dumps(data["sim"]))

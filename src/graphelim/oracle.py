@@ -9,13 +9,18 @@ performs. Column scaling multiplies by the reciprocal of the pivot
 square root, so one division is spent per pivot and everything else is a
 multiplication; divisions are reported separately.
 
-The factorization is right-looking and blocked over runs of consecutive
-pivots of one variable: each run gathers the rows its pivots can reach
-once, runs the scalar pivot loop inside that block and scatters it back.
-It reads its structure only from the system's pattern (never from the
-elimination cost it is meant to check), and it tallies each pivot's
-multiplications from the pattern row it actually updates with, so the
-counts do not depend on how pivots are grouped.
+The factorization is multifrontal (Duff and Reid 1983; Liu 1992). Each
+run of consecutive pivots of one variable, merged into fundamental
+supernodes, gets a dense front over the indices its elimination touches.
+A front is assembled from the original rows of its pivots and from its
+children's update matrices, which are added into it as soon as each
+child is factored, so no n x n working matrix exists and no update waits
+on a stack. Structure comes only from the system's pattern (never from
+the elimination cost it is meant to check), and each pivot's
+multiplications are tallied from the front row it actually updates, so
+the counts equal those of the unblocked scalar loop. The fronts'
+(frontal, separator) dimensions are the supernodes of the elimination,
+an independent check of the clique tree.
 """
 
 from __future__ import annotations
@@ -52,8 +57,16 @@ class CholeskyCount:
     mult_count: int
     div_count: int
     fill_count: int
-    factor: np.ndarray  # upper-triangular R in permuted order
+    # one block per front, in elimination order: the front's index set
+    # (sorted permuted positions, pivots first) and the rows of the
+    # upper-triangular R at its pivots, over that index set
+    factor: tuple[tuple[np.ndarray, np.ndarray], ...]
     scalar_order: np.ndarray  # permutation applied to the scalar system
+
+    @property
+    def front_dims(self) -> tuple[tuple[int, int], ...]:
+        """Each front's (frontal, separator) scalar dimensions, in order."""
+        return tuple((r.shape[0], r.shape[1] - r.shape[0]) for _, r in self.factor)
 
 
 def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
@@ -111,49 +124,107 @@ def scalar_permutation(system: SparseSystem, ordering: Sequence[int]) -> np.ndar
     raise ValueError("ordering is neither a block nor a scalar permutation")
 
 
-def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCount:
-    """Right-looking sparse Cholesky under `ordering`, counting every
-    scalar multiplication and division actually executed.
+def _fronts(
+    system: SparseSystem, perm: np.ndarray
+) -> list[tuple[np.ndarray, int, int, np.ndarray | None]]:
+    """Symbolic pass: the fronts of the multifrontal factorization.
 
-    The permuted scalars are processed in runs of consecutive scalars
-    that belong to one variable (one run per variable for a block
-    ordering). Each run gathers the block of rows and columns it can
-    touch once: its own pivots plus every row in their remaining
-    pattern. A pivot only updates rows in its own pattern, and the fill
-    it creates lies among them, so every later pivot of the run stays
-    inside the block. Within the block the scalar pivot loop runs on
-    contiguous slices, because every pivot row of a run is dense over its
-    block: in a `synthesize_system` pattern all scalars of a variable
-    share one pattern and a dense diagonal block, and elimination keeps
-    this, since a pivot's fill joins all or none of each variable's
-    scalars. A pattern without this block structure raises ValueError.
-    Then the block is scattered back once. The grouping only decides
-    which pivots share a gather: every count, the failing index and the
-    factor are those of the unblocked loop.
-
-    The loop is driven by the structural pattern (including fill created
-    along the way), never by numeric zeros, so counts are exact and
-    reproducible. Raises NotPositiveDefiniteError naming the pivot if a
-    nonpositive pivot appears.
+    Reads only `system.pattern`. The permuted scalars split into runs of
+    consecutive scalars of one variable. A run's front is its pivots, the
+    later entries of their (shared) original pattern row and its children's
+    update sets; its update set is the front minus its pivots, and its
+    parent is the run that holds the update set's smallest index. A run
+    joins the front before it when it is that front's parent, has no other
+    child, and its own front equals that update set (a fundamental
+    supernode). Each front comes out as (index set of sorted permuted
+    positions, pivot count, parent front or -1, positions of its update
+    set within the parent's index set).
     """
-    perm = scalar_permutation(system, ordering)
-    # working copy: ends as the factor, upper triangle in permuted order
-    val = system.values[np.ix_(perm, perm)]
-    pat = system.pattern[np.ix_(perm, perm)]
     n = system.n
     owner = np.repeat(np.arange(len(system.var_dims)), system.var_dims)[perm]
     bounds = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), n]
+    run_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    children: list[list[int]] = [[] for _ in bounds[1:]]
+    updates: list[np.ndarray] = []
+    parents: list[int] = []
+    front_of: list[int] = []  # run -> front
+    fronts: list[list] = []  # [index set, pivot count, last run]
+    for r, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        p = stop - start
+        rows = system.pattern[np.ix_(perm[start:stop], perm[start:])]
+        if not (rows == rows[0]).all():
+            raise ValueError(f"pattern not block-structured at pivot {start}")
+        parts = [np.arange(start, stop), np.flatnonzero(rows[0]) + start]
+        for c in children[r]:
+            # a child's update set must hold all of this run's pivots or none
+            if updates[c].size < p or updates[c][p - 1] != stop - 1:
+                raise ValueError(f"pattern not block-structured at pivot {start}")
+            parts.append(updates[c])
+        front = np.unique(np.concatenate(parts))
+        update = front[p:]
+        updates.append(update)
+        parents.append(int(run_of[update[0]]) if update.size else -1)
+        if update.size:
+            children[parents[-1]].append(r)
+        if children[r] == [r - 1] and updates[r - 1].size == front.size:
+            fronts[-1][1] += p
+            fronts[-1][2] = r
+        else:
+            fronts.append([front, p, r])
+        front_of.append(len(fronts) - 1)
+    out = []
+    for index, p, last in fronts:
+        parent = front_of[parents[last]] if parents[last] >= 0 else -1
+        rel = np.searchsorted(fronts[parent][0], updates[last]) if parent >= 0 else None
+        out.append((index, p, parent, rel))
+    return out
+
+
+def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCount:
+    """Multifrontal sparse Cholesky under `ordering`, counting every scalar
+    multiplication and division actually executed.
+
+    A symbolic pass (`_fronts`) finds each front's index set and parent
+    from the pattern. The numeric pass then visits the fronts in
+    elimination order. A front is a dense matrix over its index set: the
+    original rows of its pivots plus the update matrices its children
+    added into it. Its pivots are factored one at a time on the pivot rows,
+    then one rank-p product forms the Schur complement over the rest of
+    the front, which is added into the parent's front at once (allocated
+    on the first child's arrival), so no update waits on a stack.
+
+    Each pivot's multiplications are tallied from the front row it
+    actually updates, d entries right of the pivot costing d + d(d+1)/2,
+    so the counts do not depend on how pivots are grouped into fronts.
+    The fill is the number of factor entries stored beyond the original
+    pattern. Structure is driven by the pattern and the extend-add, never
+    by numeric zeros, so counts are exact and reproducible. A pattern
+    whose variables do not share one pattern row, or whose elimination
+    would split a variable's pivots, raises ValueError. Raises
+    NotPositiveDefiniteError naming the pivot if a nonpositive pivot
+    appears.
+    """
+    perm = scalar_permutation(system, ordering)
+    fronts = _fronts(system, perm)
+    pending: list[np.ndarray | None] = [None] * len(fronts)
+    blocks = []
     mult = 0
     div = 0
-    fill = 0
-    for start, stop in zip(bounds, bounds[1:]):
-        # the run's pivots and every later row their pattern reaches
-        reach = np.flatnonzero(pat[start:stop, stop:].any(axis=0)) + stop
-        rows = np.concatenate((np.arange(start, stop), reach))
-        block = np.ix_(rows, rows)
-        v, p = val[block], pat[block]
-        for j in range(stop - start):
-            pivot = v[j, j]
+    stored = 0
+    for i, (index, p, parent, rel) in enumerate(fronts):
+        f = index.size
+        start = int(index[0])
+        rows = system.values[np.ix_(perm[start:start + p], perm[index])]
+        m = pending[i]
+        pending[i] = None
+        if m is None:
+            # assigned, not added to zeros, so that a -0.0 pivot keeps its sign
+            m = np.zeros((f, f))
+            m[:p] = rows
+        else:
+            m[:p] += rows
+        for j in range(p):
+            pivot = m[j, j]
             if pivot <= 0.0:
                 raise NotPositiveDefiniteError(
                     f"nonpositive pivot {pivot:.6g} at elimination index {start + j}"
@@ -161,34 +232,48 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
             root = math.sqrt(pivot)
             inv_root = 1.0 / root
             div += 1
-            v[j, j] = root
-            rest = slice(j + 1, None)
-            if not p[j, rest].all():
-                raise ValueError(f"pattern not block-structured at pivot {start + j}")
-            d = p.shape[0] - j - 1
+            m[j, j] = root
+            d = f - j - 1
             if d == 0:
                 continue
-            col = v[j, rest] * inv_root
-            v[j, rest] = col
+            col = m[j, j + 1:] * inv_root
+            m[j, j + 1:] = col
             mult += d + d * (d + 1) // 2
-            fill += (d * d - np.count_nonzero(p[rest, rest])) // 2
-            p[rest, rest] = True
-            v[rest, rest] -= np.outer(col, col)
-        val[block] = v
-        pat[block] = p
-    for k in range(1, n):
-        val[k, :k] = 0.0
-    return CholeskyCount(mult, div, fill, val, perm)
+            stored += d
+            m[j + 1:p, j + 1:] -= np.outer(col[:p - j - 1], col)
+        blocks.append((index, np.triu(m[:p])))
+        if parent >= 0:
+            r12 = m[:p, p:]
+            m[p:, p:] -= r12.T @ r12
+            if pending[parent] is None:
+                size = fronts[parent][0].size
+                pending[parent] = np.zeros((size, size))
+            pending[parent][np.ix_(rel, rel)] += m[p:, p:]
+    pat = system.pattern
+    original = (np.count_nonzero(pat) - np.count_nonzero(np.diagonal(pat))) // 2
+    return CholeskyCount(mult, div, stored - original, tuple(blocks), perm)
 
 
 def solve_with_factor(count: CholeskyCount, rhs: np.ndarray) -> np.ndarray:
-    """Solve the original system given a counted factorization of it."""
+    """Solve the original system given a counted factorization of it.
+
+    R^T y = b runs front by front in elimination order, R x = y in
+    reverse; each front solves its pivots' triangle and passes the rest of
+    its rows on.
+    """
     perm = count.scalar_order
-    r = count.factor
-    y = np.linalg.solve(r.T, rhs[perm])
-    x_perm = np.linalg.solve(r, y)
-    x = np.empty_like(x_perm)
-    x[perm] = x_perm
+    y = np.array(rhs[perm], dtype=float)
+    for index, r in count.factor:
+        p = r.shape[0]
+        pivots, rest = index[:p], index[p:]
+        y[pivots] = np.linalg.solve(r[:, :p].T, y[pivots])
+        y[rest] -= r[:, p:].T @ y[pivots]
+    for index, r in reversed(count.factor):
+        p = r.shape[0]
+        pivots, rest = index[:p], index[p:]
+        y[pivots] = np.linalg.solve(r[:, :p], y[pivots] - r[:, p:] @ y[rest])
+    x = np.empty_like(y)
+    x[perm] = y
     return x
 
 

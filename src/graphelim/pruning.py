@@ -53,6 +53,15 @@ def _check_rate(r: int) -> None:
         raise ValueError(f"pruning rate must be >= 1, got {r}")
 
 
+def _check_distinct(log: ObservationLog) -> None:
+    """Reject a frame that lists a landmark twice; the count-matched
+    policies select observations as a set."""
+    for f in log.frames:
+        if len(set(f.observations)) != len(f.observations):
+            lm = next(lm for lm in f.observations if f.observations.count(lm) > 1)
+            raise ValueError(f"frame {f.index} lists landmark {lm} twice")
+
+
 def decimation_offsets(log: ObservationLog, r: int) -> dict[int, int]:
     """Default per-landmark offsets: first-observation frame index mod r."""
     return {lm: first % r for lm, first in log.first_seen().items()}
@@ -95,6 +104,7 @@ def prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneResult:
     would confound node count with edge structure.
     """
     _check_rate(r)
+    _check_distinct(log)
     target = prune_decimate(log, r).retained
     first = log.first_seen()
     forced = {(frame, lm) for lm, frame in first.items()}
@@ -127,6 +137,9 @@ def prune_tgreedy(
     periodically refreshed from scratch to contain roundoff.
     """
     _check_rate(r)
+    if not log.frames:
+        raise ValueError("tgreedy needs a log with at least one frame")
+    _check_distinct(log)
     if budget is None:
         budget = prune_decimate(log, r).retained
     first = log.first_seen()

@@ -133,8 +133,9 @@ def reference_cholesky_count(
 ) -> CholeskyCount:
     """Scalar right-looking Cholesky: one gather and scatter per pivot.
 
-    The unblocked loop the blocked `cholesky_count` must agree with
-    exactly: same counts, same error index, same factor.
+    The unblocked loop the multifrontal `cholesky_count` must agree with
+    exactly: same counts, same error index, same factor. Its factor is one
+    front over every position, holding the dense R.
     """
     perm = scalar_permutation(system, ordering)
     val = system.values[np.ix_(perm, perm)].copy()
@@ -165,7 +166,16 @@ def reference_cholesky_count(
         fill += (d * d - int(sub.sum())) // 2
         pat[np.ix_(idx, idx)] = True
         val[np.ix_(idx, idx)] -= np.outer(col, col)
-    return CholeskyCount(mult, div, fill, factor, perm)
+    return CholeskyCount(mult, div, fill, ((np.arange(n), factor),), perm)
+
+
+def dense_factor(count: CholeskyCount) -> np.ndarray:
+    """The upper-triangular R in permuted order, assembled from the fronts."""
+    n = count.scalar_order.size
+    r = np.zeros((n, n))
+    for index, rows in count.factor:
+        r[np.ix_(index[: rows.shape[0]], index)] = rows
+    return r
 
 
 def reference_clique_tree(

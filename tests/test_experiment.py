@@ -85,6 +85,14 @@ def test_spec_json_rejects_unknown_worst_case_key():
         spec_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("key", ["oracel", "max_frames"])
+def test_spec_json_rejects_unknown_key(key):
+    data = json.loads(spec_to_json(tiny_spec()))
+    data[key] = 5
+    with pytest.raises(ValueError, match=key):
+        spec_from_json(json.dumps(data))
+
+
 def test_spec_json_roundtrip():
     spec = tiny_spec(oracle=True)
     assert spec_from_json(spec_to_json(spec)) == spec

@@ -1,19 +1,39 @@
-"""Round-trip and parse-error properties of the graph, log and ordering text.
+"""Round-trip and parse-error properties of the graph, log and ordering
+text and of the experiment spec JSON.
 
-Each parse-error property inserts one malformed line into valid text and
-expects a ParseError that names exactly that line.
+Each text parse-error property inserts one malformed line into valid text
+and expects a ParseError that names exactly that line; the spec property
+breaks one key and expects a ValueError that names it.
 """
 
+import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphelim.elimination import load_ordering, save_ordering
+from graphelim.elimination import ORDERING_FUNCTIONS, load_ordering, save_ordering
+from graphelim.experiment import (
+    ExperimentSpec,
+    WorstCaseParams,
+    spec_from_json,
+    spec_to_json,
+)
 from graphelim.graph import ParseError, graph_from_text, graph_to_text
-from graphelim.simulate import Frame, ObservationLog, log_from_text, log_to_text
+from graphelim.pruning import POLICY_NAMES
+from graphelim.simulate import (
+    Frame,
+    ObservationLog,
+    Region,
+    SimConfig,
+    Trajectory,
+    Visibility,
+    log_from_text,
+    log_to_text,
+)
 
 from helpers import random_graph_and_ordering
 
@@ -132,3 +152,77 @@ def test_ordering_text_parse_error_names_line(ordering, at, bad):
         text, line_no = _insert(path.read_text(encoding="utf-8"), at, bad)
         path.write_text(text, encoding="utf-8")
         assert _parse_error_line(load_ordering, path) == line_no
+
+
+# -- experiment spec JSON ----------------------------------------------------------
+
+
+@st.composite
+def specs(draw):
+    """Valid experiment specs over a simulation or a worst case."""
+    positive = st.floats(0.01, 1e3, allow_nan=False)
+    sim = wc = None
+    if draw(st.booleans()):
+        sim = SimConfig(
+            n_frames=draw(st.integers(2, 500)),
+            trajectory=Trajectory(draw(st.floats(-50, 50)), draw(positive), draw(positive)),
+            landmark_count=draw(st.integers(0, 200)),
+            landmark_region=Region(
+                -draw(positive), draw(positive), -draw(positive), draw(positive)
+            ),
+            visibility=Visibility(draw(positive), draw(positive)),
+            min_obs_to_init=draw(st.integers(2, 5)),
+            d_x=draw(st.integers(1, 6)),
+            d_l=draw(st.integers(1, 6)),
+            seed=draw(st.integers(0, 2**32)),
+        )
+    else:
+        wc = WorstCaseParams(*(draw(st.integers(low, 50)) for low in (1, 0, 1, 1)))
+    return ExperimentSpec(
+        sim=sim,
+        worst_case=wc,
+        policies=tuple(draw(st.lists(st.sampled_from(POLICY_NAMES), unique=True))),
+        rates=tuple(draw(st.lists(st.integers(1, 20), min_size=1, max_size=4))),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4))),
+        ordering=draw(st.sampled_from(sorted(ORDERING_FUNCTIONS))),
+        oracle=draw(st.booleans()),
+        frame_stride=draw(st.integers(1, 50)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs())
+def test_spec_json_roundtrip_property(spec):
+    assert spec_from_json(spec_to_json(spec)) == spec
+
+
+_SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=specs(), key=st.text(min_size=1).filter(lambda k: k not in _SPEC_KEYS))
+def test_spec_json_unknown_key_named(spec, key):
+    data = json.loads(spec_to_json(spec))
+    data[key] = 1
+    with pytest.raises(ValueError) as err:
+        spec_from_json(json.dumps(data))
+    assert repr(key) in str(err.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=specs(),
+    bad=st.sampled_from(
+        [("oracle", "yes"), ("oracle", 1), ("oracle", None), ("rates", []),
+         ("rates", [0]), ("rates", "4"), ("rates", [1.5]), ("seeds", []),
+         ("seeds", [-1]), ("seeds", 3), ("frame_stride", 0), ("frame_stride", "2"),
+         ("frame_stride", True), ("ordering", "alphabetical"), ("ordering", 3),
+         ("policies", ["bogus"]), ("policies", "full")]
+    ),
+)
+def test_spec_json_bad_value_names_field(spec, bad):
+    field, value = bad
+    data = json.loads(spec_to_json(spec))
+    data[field] = value
+    with pytest.raises(ValueError, match=field):
+        spec_from_json(json.dumps(data))

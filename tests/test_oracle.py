@@ -1,12 +1,19 @@
 import hashlib
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphelim.elimination import scalar_mult_count, simulate_elimination
+from graphelim.cliquetree import build_clique_tree
+from graphelim.elimination import (
+    min_degree_ordering,
+    scalar_mult_count,
+    simulate_elimination,
+)
 from graphelim.oracle import (
     NotPositiveDefiniteError,
     SparseSystem,
@@ -17,10 +24,16 @@ from graphelim.oracle import (
     synthesize_system,
     system_to_coo_text,
 )
-from graphelim.simulate import worst_case_graph
+from graphelim.simulate import (
+    build_graph,
+    default_config,
+    simulate_trajectory,
+    worst_case_graph,
+)
 
 from helpers import (
     complete_graph,
+    dense_factor,
     path_graph,
     random_block_graph,
     random_graph_and_ordering,
@@ -130,7 +143,8 @@ def test_factor_reproduces_matrix():
         system = synthesize_system(g, seed=k)
         count = cholesky_count(system, random_ordering(rng, g.n_vars))
         target = permuted(system, count)
-        resid = np.linalg.norm(count.factor.T @ count.factor - target)
+        r = dense_factor(count)
+        resid = np.linalg.norm(r.T @ r - target)
         assert resid / np.linalg.norm(target) <= 1e-9
 
 
@@ -180,6 +194,18 @@ def test_pattern_without_block_structure_rejected():
     reference_cholesky_count(system, [0, 1])  # the scalar loop takes any pattern
 
 
+def test_split_variable_in_update_rejected():
+    # scalar 0 is tied to scalar 1 but not to scalar 2, the other half of
+    # variable 1, so eliminating it would split that variable's pivots
+    pattern = np.eye(3, dtype=bool)
+    pattern[0, 1] = pattern[1, 0] = pattern[1, 2] = pattern[2, 1] = True
+    values = np.where(pattern, 0.5, 0.0) + 2.0 * np.eye(3)
+    system = SparseSystem(values, pattern, (1, 2), (0, 1))
+    with pytest.raises(ValueError, match="block-structured at pivot 1"):
+        cholesky_count(system, [0, 1])
+    reference_cholesky_count(system, [0, 1])
+
+
 def _random_system_and_ordering(rng):
     g, block_order = random_graph_and_ordering(rng)
     system = synthesize_system(g, seed=rng.randrange(2**32))
@@ -188,17 +214,68 @@ def _random_system_and_ordering(rng):
     return system, random_ordering(rng, system.n)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_blocked_kernel_matches_scalar_reference(rng):
-    system, order = _random_system_and_ordering(rng)
-    got = cholesky_count(system, order)
-    ref = reference_cholesky_count(system, order)
+def _assert_matches_reference(got, ref):
     assert (got.mult_count, got.div_count, got.fill_count) == (
         ref.mult_count, ref.div_count, ref.fill_count,
     )
     assert (got.scalar_order == ref.scalar_order).all()
-    assert np.linalg.norm(got.factor - ref.factor) <= 1e-12 * np.linalg.norm(ref.factor)
+    r, r_ref = dense_factor(got), dense_factor(ref)
+    assert np.linalg.norm(r - r_ref) <= 1e-12 * np.linalg.norm(r_ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_blocked_kernel_matches_scalar_reference(rng):
+    system, order = _random_system_and_ordering(rng)
+    _assert_matches_reference(
+        cholesky_count(system, order), reference_cholesky_count(system, order)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_toggled_pattern_rejected_or_exact(rng):
+    system, order = _random_system_and_ordering(rng)
+    if system.n < 2:
+        return
+    pattern = system.pattern.copy()
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(system.n), 2)
+        pattern[i, j] = pattern[j, i] = not pattern[i, j]
+    toggled = SparseSystem(system.values, pattern, system.var_dims, system.var_offsets)
+    try:
+        got = cholesky_count(toggled, order)
+    except ValueError as err:
+        assert re.fullmatch(r"pattern not block-structured at pivot \d+", str(err))
+        return
+    _assert_matches_reference(got, reference_cholesky_count(toggled, order))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_front_dims_equal_clique_tree(rng):
+    g, order = random_graph_and_ordering(rng)
+    count = cholesky_count(synthesize_system(g, seed=rng.randrange(2**32)), order)
+    tree = build_clique_tree(g, order)
+    assert count.front_dims == tuple(
+        (c.frontal_dim, c.separator_dim) for c in tree.cliques
+    )
+
+
+def test_peak_memory_on_desk_frame_50():
+    # min-degree eliminates most landmarks first, toward few parent poses:
+    # updates held until their parent is factored peaked near 49 MiB here
+    log = simulate_trajectory(default_config(seed=1, n_frames=150, landmark_count=80))
+    g = build_graph(log.prefix(50))
+    system = synthesize_system(g, seed=0)
+    order = min_degree_ordering(g)
+    tracemalloc.start()
+    try:
+        cholesky_count(system, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @settings(max_examples=60, deadline=None)

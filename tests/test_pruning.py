@@ -138,6 +138,18 @@ def test_random_keeps_first_observations(sim_log):
         assert (frame, lm) in kept
 
 
+@pytest.mark.parametrize(
+    "frames",
+    [
+        (Frame(0, (1, 1)), Frame(1, (1,))),
+        (Frame(0, (1, 1, 1)), Frame(2, (1, 1))),
+    ],
+)
+def test_random_rejects_repeated_landmark(frames):
+    with pytest.raises(ValueError, match="frame 0 lists landmark 1 twice"):
+        prune_random(ObservationLog(frames, 2), 2)
+
+
 def test_pruned_subset_and_odometry_untouched(sim_log):
     original = set(sim_log.observations())
     for policy in ("rand", "tgreedy", "kf", "dec"):
@@ -159,6 +171,17 @@ def test_tgreedy_full_budget_is_identity(sim_log):
 def test_tgreedy_count_matches_decimation(sim_log):
     for r in (3, 6):
         assert prune_tgreedy(sim_log, r).retained == prune_decimate(sim_log, r).retained
+
+
+def test_tgreedy_rejects_log_without_frames():
+    with pytest.raises(ValueError, match="at least one frame"):
+        prune_tgreedy(ObservationLog((), 0), 2)
+
+
+def test_tgreedy_rejects_repeated_landmark():
+    log = ObservationLog((Frame(0, (1,)), Frame(1, (2, 1, 2))), 3)
+    with pytest.raises(ValueError, match="frame 1 lists landmark 2 twice"):
+        prune_tgreedy(log, 1)
 
 
 def test_tgreedy_greedy_step_maximizes_tree_count():
