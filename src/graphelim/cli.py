@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import experiment as exp
@@ -23,10 +24,9 @@ from .pruning import POLICY_NAMES
 from .simulate import (
     Region,
     SimConfig,
-    Trajectory,
-    Visibility,
     config_from_json,
     config_to_json,
+    default_config,
     save_log,
     simulate_trajectory,
     worst_case_graph,
@@ -55,14 +55,14 @@ def _add_source_args(p: argparse.ArgumentParser, for_experiment: bool) -> None:
         p.add_argument(
             "--manifest", type=Path, help="simulation manifest written by `gen`"
         )
-    p.add_argument("--frames", type=int, default=150, help="simulated frame count")
-    p.add_argument("--landmarks", type=int, default=80, help="simulated landmark count")
-    p.add_argument("--sim-seed", type=int, default=1, help="simulation RNG seed")
-    p.add_argument("--amplitude", type=float, default=5.0)
-    p.add_argument("--wavelength", type=float, default=30.0)
-    p.add_argument("--step-size", type=float, default=1.0)
-    p.add_argument("--range", dest="max_range", type=float, default=120.0)
-    p.add_argument("--fov-deg", type=float, default=270.0)
+    p.add_argument("--frames", type=int, help="simulated frame count")
+    p.add_argument("--landmarks", type=int, help="simulated landmark count")
+    p.add_argument("--sim-seed", type=int, help="simulation RNG seed")
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--wavelength", type=float)
+    p.add_argument("--step-size", type=float)
+    p.add_argument("--range", dest="max_range", type=float)
+    p.add_argument("--fov-deg", type=float)
     p.add_argument(
         "--region",
         nargs=4,
@@ -70,26 +70,46 @@ def _add_source_args(p: argparse.ArgumentParser, for_experiment: bool) -> None:
         metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
         help="landmark bounding box (default: trajectory strip)",
     )
-    p.add_argument("--min-obs", type=int, default=2)
-    p.add_argument("--d-x", type=int, default=6, help="pose block dimension")
-    p.add_argument("--d-l", type=int, default=3, help="landmark block dimension")
+    p.add_argument("--min-obs", type=int)
+    p.add_argument("--d-x", type=int, help="pose block dimension")
+    p.add_argument("--d-l", type=int, help="landmark block dimension")
+
+
+def _given(args: argparse.Namespace, **fields: str) -> dict:
+    """The options the user set, keyed by the field each sets; lists become tuples."""
+    return {
+        name: tuple(v) if isinstance(v, list) else v
+        for option, name in fields.items()
+        if (v := getattr(args, option)) is not None
+    }
 
 
 def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
-    region = args.region or [0.0, args.frames * args.step_size, -10.0, 10.0]
-    cfg = SimConfig(
-        n_frames=args.frames,
-        trajectory=Trajectory(args.amplitude, args.wavelength, args.step_size),
-        landmark_count=args.landmarks,
-        landmark_region=Region(*region),
-        visibility=Visibility(args.max_range, math.radians(args.fov_deg)),
-        min_obs_to_init=args.min_obs,
-        d_x=args.d_x,
-        d_l=args.d_l,
-        seed=args.sim_seed,
+    """`default_config`'s desk simulation with the options the user set."""
+    cfg = default_config(
+        **_given(args, frames="n_frames", landmarks="landmark_count", sim_seed="seed")
     )
-    cfg.validate()
-    return cfg
+    trajectory = replace(
+        cfg.trajectory,
+        **_given(args, amplitude="amplitude", wavelength="wavelength", step_size="step"),
+    )
+    if args.region is None:  # the strip under the trajectory
+        region = replace(cfg.landmark_region, x_max=cfg.n_frames * trajectory.step)
+    else:
+        region = Region(*args.region)
+    fov = {} if args.fov_deg is None else {"field_of_view": math.radians(args.fov_deg)}
+    return replace(
+        cfg,
+        trajectory=trajectory,
+        landmark_region=region,
+        visibility=replace(cfg.visibility, **_given(args, max_range="max_range"), **fov),
+        **_given(args, min_obs="min_obs_to_init", d_x="d_x", d_l="d_l"),
+    )
+
+
+def _worst_case_from_args(args: argparse.Namespace) -> exp.WorstCaseParams:
+    n_x, n_l = args.worst_case
+    return exp.WorstCaseParams(n_x, n_l, **_given(args, d_x="d_x", d_l="d_l"))
 
 
 def _build_parser() -> _Parser:
@@ -114,18 +134,13 @@ def _build_parser() -> _Parser:
     run.add_argument(
         "--seed", action="append", type=int, help="pruning seed for rand (repeatable)"
     )
-    run.add_argument(
-        "--ordering",
-        choices=sorted(exp.ORDERING_FUNCTIONS),
-        default="min_degree",
-    )
+    run.add_argument("--ordering", choices=sorted(exp.ORDERING_FUNCTIONS))
     run.add_argument(
         "--oracle",
         action=argparse.BooleanOptionalAction,
-        default=False,
         help="also run the counting factorization oracle per row",
     )
-    run.add_argument("--stride", type=int, default=1, help="frame sampling stride")
+    run.add_argument("--stride", type=int, help="frame sampling stride")
     run.add_argument("--out", type=Path, required=True)
 
     rep = sub.add_parser("report", help="render SVG plot + summary from a CSV")
@@ -136,21 +151,20 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     out: Path = args.out
-    out.mkdir(parents=True, exist_ok=True)
     if args.worst_case:
-        n_x, n_l = args.worst_case
-        graph = worst_case_graph(n_x, n_l, args.d_x, args.d_l)
+        params = _worst_case_from_args(args)
+        out.mkdir(parents=True, exist_ok=True)
+        graph = worst_case_graph(params.n_x, params.n_l, params.d_x, params.d_l)
         save_graph(graph, out / "graph.txt")
-        save_log(worst_case_log(n_x, n_l), out / "dataset.log")
-        manifest = {
-            "worst_case": {"n_x": n_x, "n_l": n_l, "d_x": args.d_x, "d_l": args.d_l}
-        }
+        save_log(worst_case_log(params.n_x, params.n_l), out / "dataset.log")
         (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps({"worst_case": asdict(params)}, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
         )
         print(f"wrote worst-case dataset ({graph!r}) to {out}")
     else:
         cfg = _sim_config_from_args(args)
+        out.mkdir(parents=True, exist_ok=True)
         log = simulate_trajectory(cfg)
         save_log(log, out / "dataset.log")
         (out / "manifest.json").write_text(config_to_json(cfg), encoding="utf-8")
@@ -172,22 +186,17 @@ def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
         else:
             sim = config_from_json(text)
     elif args.worst_case:
-        n_x, n_l = args.worst_case
-        worst_case = exp.WorstCaseParams(n_x, n_l, args.d_x, args.d_l)
+        worst_case = _worst_case_from_args(args)
     else:
         sim = _sim_config_from_args(args)
-    spec = exp.ExperimentSpec(
+    return exp.ExperimentSpec(
         sim=sim,
         worst_case=worst_case,
-        policies=tuple(args.policy) if args.policy else POLICY_NAMES,
-        rates=tuple(args.rate) if args.rate else (4, 6),
-        seeds=tuple(args.seed) if args.seed else (0,),
-        ordering=args.ordering,
-        oracle=args.oracle,
-        frame_stride=args.stride,
+        **_given(
+            args, policy="policies", rate="rates", seed="seeds", ordering="ordering",
+            oracle="oracle", stride="frame_stride",
+        ),
     )
-    spec.validate()
-    return spec
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .cliquetree import build_clique_tree, ec_of_clique_tree
@@ -30,29 +30,19 @@ from .pruning import (
     predicted_ec_keyframe,
 )
 from .simulate import (
+    DEFAULT_LANDMARK_DIM,
+    DEFAULT_POSE_DIM,
     ObservationLog,
     SimConfig,
     build_graph,
     check_int,
     config_from_json,
+    from_json_object,
     simulate_trajectory,
     worst_case_log,
 )
 
 log = logging.getLogger("graphelim.experiment")
-
-CSV_HEADER = (
-    "frame_idx",
-    "policy",
-    "rate",
-    "seed",
-    "n_vars",
-    "n_factors",
-    "ec_block",
-    "ec_bt",
-    "oracle_mult_count",
-    "predicted_ec",
-)
 
 _ROW_ORDER = {
     name: i
@@ -64,16 +54,20 @@ _ROW_ORDER = {
 class WorstCaseParams:
     n_x: int
     n_l: int
-    d_x: int = 6
-    d_l: int = 3
+    d_x: int = DEFAULT_POSE_DIM
+    d_l: int = DEFAULT_LANDMARK_DIM
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        for name, low in (("n_x", 1), ("n_l", 0), ("d_x", 1), ("d_l", 1)):
+            check_int(f"worst_case.{name}", getattr(self, name), low)
 
 
 def worst_case_from_json(data) -> WorstCaseParams:
     """Worst-case parameters from a decoded JSON object; bad keys are input errors."""
-    try:
-        return WorstCaseParams(**data)
-    except TypeError as exc:
-        raise ValueError(f"invalid worst_case: {exc}") from None
+    return from_json_object(WorstCaseParams, data, "worst_case")
 
 
 @dataclass(frozen=True)
@@ -89,27 +83,28 @@ class ExperimentSpec:
     oracle: bool = False
     frame_stride: int = 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if (self.sim is None) == (self.worst_case is None):
             raise ValueError("spec needs exactly one of sim / worst_case")
-        if self.sim is not None:
-            self.sim.validate()
-        if self.worst_case is not None:
-            for name, low in (("n_x", 1), ("n_l", 0), ("d_x", 1), ("d_l", 1)):
-                check_int(f"worst_case.{name}", getattr(self.worst_case, name), low)
+        for name in ("policies", "rates", "seeds"):
+            values = getattr(self, name)
+            if not isinstance(values, tuple):
+                raise ValueError(f"{name} must be a tuple (a JSON list), got {values!r}")
+            if any(v in values[:i] for i, v in enumerate(values)):
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
         unknown = [p for p in self.policies if p not in POLICY_NAMES]
         if unknown:
             raise ValueError(f"unknown policies {unknown}")
         if not isinstance(self.ordering, str) or self.ordering not in ORDERING_FUNCTIONS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        if not self.rates:
-            raise ValueError("rates must be a nonempty list of integers >= 1")
-        for r in self.rates:
-            check_int("rates", r, 1)
-        if not self.seeds:
-            raise ValueError("seeds must be a nonempty list of integers >= 0")
-        for seed in self.seeds:
-            check_int("seeds", seed, 0)
+        for name, low in (("rates", 1), ("seeds", 0)):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be a nonempty list of integers >= {low}")
+            for value in getattr(self, name):
+                check_int(name, value, low)
         check_int("frame_stride", self.frame_stride, 1)
         if not isinstance(self.oracle, bool):
             raise ValueError(f"oracle must be true or false, got {self.oracle!r}")
@@ -120,38 +115,16 @@ def spec_to_json(spec: ExperimentSpec) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _list_field(data: dict, name: str, default: tuple) -> tuple:
-    value = data.get(name, default)
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list, got {value!r}")
-    return tuple(value)
-
-
 def spec_from_json(text: str) -> ExperimentSpec:
+    """A spec from its JSON text; JSON lists become tuples, absent keys take defaults."""
     data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("spec must be a JSON object")
-    unknown = sorted(set(data) - {f.name for f in fields(ExperimentSpec)})
-    if unknown:
-        raise ValueError(f"unknown spec keys {unknown}")
-    sim = None
-    if data.get("sim") is not None:
-        sim = config_from_json(json.dumps(data["sim"]))
-    wc = None
-    if data.get("worst_case") is not None:
-        wc = worst_case_from_json(data["worst_case"])
-    spec = ExperimentSpec(
-        sim=sim,
-        worst_case=wc,
-        policies=_list_field(data, "policies", POLICY_NAMES),
-        rates=_list_field(data, "rates", (4, 6)),
-        seeds=_list_field(data, "seeds", (0,)),
-        ordering=data.get("ordering", "min_degree"),
-        oracle=data.get("oracle", False),
-        frame_stride=data.get("frame_stride", 1),
-    )
-    spec.validate()
-    return spec
+    if isinstance(data, dict):
+        data = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
+        if data.get("sim") is not None:
+            data["sim"] = config_from_json(json.dumps(data["sim"]))
+        if data.get("worst_case") is not None:
+            data["worst_case"] = worst_case_from_json(data["worst_case"])
+    return from_json_object(ExperimentSpec, data, "spec")
 
 
 @dataclass(frozen=True)
@@ -166,6 +139,9 @@ class ReportRow:
     ec_bt: int | None
     oracle_mult_count: int | None
     predicted_ec: int | None
+
+
+CSV_HEADER = tuple(f.name for f in fields(ReportRow))
 
 
 def _source_log(spec: ExperimentSpec) -> tuple[ObservationLog, int, int, int]:
@@ -213,7 +189,6 @@ def _measure(
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ReportRow]:
-    spec.validate()
     source, d_x, d_l, min_obs = _source_log(spec)
 
     frame_ids = [f.index for f in source.frames]
@@ -281,15 +256,7 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in rows:
-        writer.writerow(
-            [
-                _format_value(v)
-                for v in (
-                    r.frame_idx, r.policy, r.rate, r.seed, r.n_vars, r.n_factors,
-                    r.ec_block, r.ec_bt, r.oracle_mult_count, r.predicted_ec,
-                )
-            ]
-        )
+        writer.writerow([_format_value(v) for v in astuple(r)])
     return buf.getvalue()
 
 

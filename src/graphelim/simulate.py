@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,9 @@ class SimConfig:
     d_l: int = DEFAULT_LANDMARK_DIM
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         check_int("n_frames", self.n_frames, 2)
         check_int("min_obs_to_init", self.min_obs_to_init, 2)
@@ -85,6 +88,23 @@ def check_int(name: str, value, low: int) -> None:
     """Reject a non-integer (bools included) or one below `low`, naming the field."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def from_json_object(cls, data, name: str):
+    """`cls(**data)` for a decoded JSON object, naming any unknown or missing keys.
+
+    Keys that `data` leaves out take the dataclass's defaults; the type's
+    own `__post_init__` checks the values.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"missing {name} keys {missing}")
+    return cls(**data)
 
 
 def default_config(
@@ -186,7 +206,6 @@ def simulate_trajectory(config: SimConfig) -> ObservationLog:
     landmark is observed when it lies strictly within `max_range` and
     within half the field of view of the forward-facing heading.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     region = config.landmark_region
     landmarks = rng.uniform(
@@ -322,21 +341,15 @@ def config_to_json(config: SimConfig) -> str:
     return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
 
 
+_CONFIG_PARTS = {"trajectory": Trajectory, "landmark_region": Region, "visibility": Visibility}
+
+
 def config_from_json(text: str) -> SimConfig:
     data = json.loads(text)
-    try:
-        cfg = SimConfig(
-            n_frames=data["n_frames"],
-            trajectory=Trajectory(**data["trajectory"]),
-            landmark_count=data["landmark_count"],
-            landmark_region=Region(**data["landmark_region"]),
-            visibility=Visibility(**data["visibility"]),
-            min_obs_to_init=data.get("min_obs_to_init", 2),
-            d_x=data.get("d_x", DEFAULT_POSE_DIM),
-            d_l=data.get("d_l", DEFAULT_LANDMARK_DIM),
-            seed=data.get("seed", 0),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"invalid simulation config: {exc}") from None
-    cfg.validate()
-    return cfg
+    if isinstance(data, dict):
+        data = {
+            key: from_json_object(_CONFIG_PARTS[key], value, key)
+            if key in _CONFIG_PARTS else value
+            for key, value in data.items()
+        }
+    return from_json_object(SimConfig, data, "simulation config")

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from graphelim.experiment import CSV_HEADER
+from graphelim import cli, experiment
+from graphelim.experiment import CSV_HEADER, ExperimentSpec, spec_to_json
+from graphelim.simulate import config_to_json, default_config
 
 
 def run_cli(*args, cwd=None):
@@ -105,12 +107,52 @@ def test_bad_worst_case_manifest_exits_one(tmp_path, worst_case, field):
         (("--worst-case", "0", "5"), "n_x"),
         (("--worst-case", "3", "-1"), "n_l"),
         (("--worst-case", "3", "2", "--seed", "-1"), "seeds"),
+        (("--worst-case", "4", "3", "--policy", "full", "--policy", "kf",
+          "--rate", "2", "--rate", "2"), "rates"),
+        (("--worst-case", "4", "3", "--policy", "kf", "--policy", "kf"), "policies"),
+        (("--worst-case", "4", "3", "--seed", "1", "--seed", "1"), "seeds"),
     ],
 )
 def test_bad_experiment_arguments_exit_one(tmp_path, args, field):
     proc = run_cli("experiment", *args, "--out", str(tmp_path / "x"))
     assert proc.returncode == 1, proc.stderr
     assert field in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (("--worst-case", "0", "5"), "worst_case.n_x"),
+        (("--worst-case", "3", "-1"), "worst_case.n_l"),
+        (("--worst-case", "3", "2", "--d-x", "0"), "worst_case.d_x"),
+        (("--worst-case", "3", "2", "--d-l", "0"), "worst_case.d_l"),
+        (("--frames", "1"), "n_frames"),
+        (("--min-obs", "1"), "min_obs_to_init"),
+    ],
+)
+def test_bad_gen_arguments_exit_one(tmp_path, args, field):
+    out = tmp_path / "x"
+    proc = run_cli("gen", *args, "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert field in proc.stderr
+    assert not out.exists()
+
+
+def test_gen_defaults_are_default_config(tmp_path):
+    out = tmp_path / "data"
+    proc = run_cli("gen", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "manifest.json").read_text(encoding="utf-8") == config_to_json(
+        default_config()
+    )
+
+
+def test_experiment_defaults_are_spec_defaults(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiment, "run_experiment", lambda spec: [])
+    assert cli.main(["experiment", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "spec.json").read_text(encoding="utf-8") == spec_to_json(
+        ExperimentSpec(sim=default_config())
+    )
 
 
 def test_manifest_with_non_numeric_field_exits_one(tmp_path):
@@ -122,6 +164,18 @@ def test_manifest_with_non_numeric_field_exits_one(tmp_path):
     proc = run_cli("experiment", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "x"))
     assert proc.returncode == 1, proc.stderr
     assert "amplitude" in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["n_frame", "sed"])
+def test_manifest_with_unknown_key_exits_one(tmp_path, key):
+    data = tmp_path / "data"
+    assert run_cli("gen", "--frames", "20", "--landmarks", "10", "--out", str(data)).returncode == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest[key] = 5
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    proc = run_cli("experiment", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "x"))
+    assert proc.returncode == 1, proc.stderr
+    assert repr(key) in proc.stderr
 
 
 _GOOD_ROW = "0,full,1,0,1,0,216.000,216,,216"

@@ -69,6 +69,9 @@ def test_spec_validation():
         ("seeds", [1.5]),
         ("frame_stride", None),
         ("ordering", ["min_degree"]),
+        ("policies", ["kf", "full", "kf"]),
+        ("rates", [2, 2]),
+        ("seeds", [0, 3, 0]),
     ],
 )
 def test_spec_json_rejects_bad_fields(field, value):

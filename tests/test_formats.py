@@ -1,9 +1,9 @@
 """Round-trip and parse-error properties of the graph, log and ordering
-text and of the experiment spec JSON.
+text and of the simulation config and experiment spec JSON.
 
 Each text parse-error property inserts one malformed line into valid text
-and expects a ParseError that names exactly that line; the spec property
-breaks one key and expects a ValueError that names it.
+and expects a ParseError that names exactly that line; the JSON properties
+break one key and expect a ValueError that names it.
 """
 
 import json
@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphelim.elimination import ORDERING_FUNCTIONS, load_ordering, save_ordering
@@ -31,6 +31,8 @@ from graphelim.simulate import (
     SimConfig,
     Trajectory,
     Visibility,
+    config_from_json,
+    config_to_json,
     log_from_text,
     log_to_text,
 )
@@ -154,36 +156,71 @@ def test_ordering_text_parse_error_names_line(ordering, at, bad):
         assert _parse_error_line(load_ordering, path) == line_no
 
 
-# -- experiment spec JSON ----------------------------------------------------------
+# -- simulation config and experiment spec JSON -------------------------------------
+
+
+@st.composite
+def sim_configs(draw):
+    """Valid simulation configs."""
+    positive = st.floats(0.01, 1e3, allow_nan=False)
+    return SimConfig(
+        n_frames=draw(st.integers(2, 500)),
+        trajectory=Trajectory(draw(st.floats(-50, 50)), draw(positive), draw(positive)),
+        landmark_count=draw(st.integers(0, 200)),
+        landmark_region=Region(
+            -draw(positive), draw(positive), -draw(positive), draw(positive)
+        ),
+        visibility=Visibility(draw(positive), draw(positive)),
+        min_obs_to_init=draw(st.integers(2, 5)),
+        d_x=draw(st.integers(1, 6)),
+        d_l=draw(st.integers(1, 6)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=sim_configs())
+def test_config_json_roundtrip_property(cfg):
+    assert config_from_json(config_to_json(cfg)) == cfg
+
+
+# the keys of the config's top level ("") and of each nested object
+_CONFIG_KEYS = {
+    part: {f.name for f in fields(cls)}
+    for part, cls in (
+        ("", SimConfig), ("trajectory", Trajectory),
+        ("landmark_region", Region), ("visibility", Visibility),
+    )
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=sim_configs(), part=st.sampled_from(sorted(_CONFIG_KEYS)), key=st.text(min_size=1))
+def test_config_json_unknown_key_named(cfg, part, key):
+    assume(key not in _CONFIG_KEYS[part])
+    data = json.loads(config_to_json(cfg))
+    (data[part] if part else data)[key] = 1
+    with pytest.raises(ValueError) as err:
+        config_from_json(json.dumps(data))
+    assert repr(key) in str(err.value)
 
 
 @st.composite
 def specs(draw):
     """Valid experiment specs over a simulation or a worst case."""
-    positive = st.floats(0.01, 1e3, allow_nan=False)
     sim = wc = None
     if draw(st.booleans()):
-        sim = SimConfig(
-            n_frames=draw(st.integers(2, 500)),
-            trajectory=Trajectory(draw(st.floats(-50, 50)), draw(positive), draw(positive)),
-            landmark_count=draw(st.integers(0, 200)),
-            landmark_region=Region(
-                -draw(positive), draw(positive), -draw(positive), draw(positive)
-            ),
-            visibility=Visibility(draw(positive), draw(positive)),
-            min_obs_to_init=draw(st.integers(2, 5)),
-            d_x=draw(st.integers(1, 6)),
-            d_l=draw(st.integers(1, 6)),
-            seed=draw(st.integers(0, 2**32)),
-        )
+        sim = draw(sim_configs())
     else:
         wc = WorstCaseParams(*(draw(st.integers(low, 50)) for low in (1, 0, 1, 1)))
     return ExperimentSpec(
         sim=sim,
         worst_case=wc,
         policies=tuple(draw(st.lists(st.sampled_from(POLICY_NAMES), unique=True))),
-        rates=tuple(draw(st.lists(st.integers(1, 20), min_size=1, max_size=4))),
-        seeds=tuple(draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4))),
+        rates=tuple(draw(st.lists(st.integers(1, 20), min_size=1, max_size=4, unique=True))),
+        seeds=tuple(
+            draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True))
+        ),
         ordering=draw(st.sampled_from(sorted(ORDERING_FUNCTIONS))),
         oracle=draw(st.booleans()),
         frame_stride=draw(st.integers(1, 50)),

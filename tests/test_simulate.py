@@ -241,6 +241,14 @@ def test_config_json_missing_field():
         config_from_json('{"n_frames": 10}')
 
 
+@pytest.mark.parametrize("key", ["n_frame", "sed"])
+def test_config_json_rejects_unknown_key(key):
+    data = json.loads(config_to_json(small_config()))
+    data[key] = 5
+    with pytest.raises(ValueError, match=key):
+        config_from_json(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
