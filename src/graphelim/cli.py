@@ -55,24 +55,36 @@ def _add_source_args(p: argparse.ArgumentParser, for_experiment: bool) -> None:
         p.add_argument(
             "--manifest", type=Path, help="simulation manifest written by `gen`"
         )
-    p.add_argument("--frames", type=int, help="simulated frame count")
-    p.add_argument("--landmarks", type=int, help="simulated landmark count")
-    p.add_argument("--sim-seed", type=int, help="simulation RNG seed")
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--step-size", type=float)
-    p.add_argument("--range", dest="max_range", type=float)
-    p.add_argument("--fov-deg", type=float)
-    p.add_argument(
-        "--region",
-        nargs=4,
-        type=float,
-        metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
-        help="landmark bounding box (default: trajectory strip)",
-    )
-    p.add_argument("--min-obs", type=int)
+    sim = p.add_argument_group("simulation options")
+    sim_actions = [
+        sim.add_argument("--frames", type=int, help="simulated frame count"),
+        sim.add_argument("--landmarks", type=int, help="simulated landmark count"),
+        sim.add_argument("--sim-seed", type=int, help="simulation RNG seed"),
+        sim.add_argument("--amplitude", type=float),
+        sim.add_argument("--wavelength", type=float),
+        sim.add_argument("--step-size", type=float),
+        sim.add_argument("--range", dest="max_range", type=float),
+        sim.add_argument("--fov-deg", type=float),
+        sim.add_argument(
+            "--region",
+            nargs=4,
+            type=float,
+            metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
+            help="landmark bounding box (default: trajectory strip)",
+        ),
+        sim.add_argument("--min-obs", type=int),
+    ]
     p.add_argument("--d-x", type=int, help="pose block dimension")
     p.add_argument("--d-l", type=int, help="landmark block dimension")
+    # flag -> destination of the options only a simulation reads
+    p.set_defaults(sim_options={a.option_strings[0]: a.dest for a in sim_actions})
+
+
+def _reject_options(args: argparse.Namespace, source: str, options: dict) -> None:
+    """Name the given options that the chosen source would ignore."""
+    given = [flag for flag, dest in options.items() if getattr(args, dest) is not None]
+    if given:
+        raise _ValidationError(f"{', '.join(given)} cannot be used with {source}")
 
 
 def _given(args: argparse.Namespace, **fields: str) -> dict:
@@ -108,6 +120,7 @@ def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
 
 
 def _worst_case_from_args(args: argparse.Namespace) -> exp.WorstCaseParams:
+    _reject_options(args, "--worst-case", args.sim_options)
     n_x, n_l = args.worst_case
     return exp.WorstCaseParams(n_x, n_l, **_given(args, d_x="d_x", d_l="d_l"))
 
@@ -179,9 +192,16 @@ def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
     sim = None
     worst_case = None
     if args.manifest is not None:
+        dims = {"--d-x": "d_x", "--d-l": "d_l"}
+        _reject_options(
+            args, "--manifest", {"--worst-case": "worst_case", **args.sim_options, **dims}
+        )
         text = args.manifest.read_text(encoding="utf-8")
         data = json.loads(text)
         if isinstance(data, dict) and "worst_case" in data:
+            unknown = sorted(set(data) - {"worst_case"})
+            if unknown:
+                raise ValueError(f"unknown worst-case manifest keys {unknown}")
             worst_case = exp.worst_case_from_json(data["worst_case"])
         else:
             sim = config_from_json(text)

@@ -16,7 +16,8 @@ roughly one in r":
 * ``tgreedy`` -- keep the count-matched subset chosen greedily to
                  maximize the spanning-tree count of the retained
                  variable-adjacency graph (matrix-tree theorem on the
-                 reduced Laplacian).
+                 Laplacian grounded at the first pose, whose inverse
+                 is padded with a zero row and column for that pose).
 """
 
 from __future__ import annotations
@@ -79,6 +80,13 @@ def prune_decimate(
     _check_rate(r)
     if offsets is None:
         offsets = decimation_offsets(log, r)
+    else:
+        for lm in log.first_seen():
+            k = offsets.get(lm)
+            if k is None or not 0 <= k < r:
+                raise ValueError(
+                    f"landmark {lm} needs a decimation offset in 0..{r - 1}, got {k}"
+                )
     frames = [
         Frame(
             f.index,
@@ -96,6 +104,26 @@ def prune_keyframe(log: ObservationLog, r: int) -> PruneResult:
     return _result("kf", r, log, frames)
 
 
+def _count_matched(log: ObservationLog, r: int) -> tuple[int, set, list]:
+    """Decimation's retained count at rate r, the floor (each landmark's
+    first observation) and every other observation in log order."""
+    _check_rate(r)
+    _check_distinct(log)
+    target = prune_decimate(log, r).retained
+    floor = {(frame, lm) for lm, frame in log.first_seen().items()}
+    rest = [obs for obs in log.observations() if obs not in floor]
+    return target, floor, rest
+
+
+def _keep(policy: str, r: int, log: ObservationLog, keep) -> PruneResult:
+    """`log` with only the observations in `keep`, every frame retained."""
+    frames = [
+        Frame(f.index, tuple(lm for lm in f.observations if (f.index, lm) in keep))
+        for f in log.frames
+    ]
+    return _result(policy, r, log, frames)
+
+
 def prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneResult:
     """Uniformly random subset, count-matched to decimation at the same r.
 
@@ -103,23 +131,13 @@ def prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneResult:
     landmarks would drop out of the graph entirely and the comparison
     would confound node count with edge structure.
     """
-    _check_rate(r)
-    _check_distinct(log)
-    target = prune_decimate(log, r).retained
-    first = log.first_seen()
-    forced = {(frame, lm) for lm, frame in first.items()}
-    pool = [obs for obs in log.observations() if obs not in forced]
-    extra = target - len(forced)
+    target, floor, rest = _count_matched(log, r)
+    extra = target - len(floor)
     if extra < 0:
         raise ValueError("decimation budget below one observation per landmark")
     rng = np.random.default_rng(seed)
-    picked = rng.choice(len(pool), size=extra, replace=False) if extra else []
-    keep = forced | {pool[i] for i in picked}
-    frames = [
-        Frame(f.index, tuple(lm for lm in f.observations if (f.index, lm) in keep))
-        for f in log.frames
-    ]
-    return _result("rand", r, log, frames)
+    picked = rng.choice(len(rest), size=extra, replace=False) if extra else []
+    return _keep("rand", r, log, floor | {rest[i] for i in picked})
 
 
 def prune_tgreedy(
@@ -130,98 +148,79 @@ def prune_tgreedy(
     Starting from the odometry chain plus one observation per landmark
     (the initialization floor), repeatedly add the observation edge that
     maximizes the spanning-tree count of the retained variable-adjacency
-    graph. By the matrix-tree theorem the count is det of the reduced
-    Laplacian, and adding edge (u, v) scales it by 1 + q with
-    q = b^T L^{-1} b, b = e_u - e_v, so each step just maximizes the
-    quadratic form; the inverse is maintained by rank-one updates and
-    periodically refreshed from scratch to contain roundoff.
+    graph. By the matrix-tree theorem the count is det of the Laplacian
+    grounded at the first pose, and adding edge (u, v) scales it by 1 + q
+    with q = M[u, u] + M[v, v] - 2 M[u, v], where M is the grounded inverse
+    padded with a zero row and column for the first pose. Each step just
+    maximizes q; M takes rank-one updates with w = M[:, u] - M[:, v] and is
+    periodically re-inverted to contain roundoff.
     """
-    _check_rate(r)
+    target, floor, rest = _count_matched(log, r)
     if not log.frames:
         raise ValueError("tgreedy needs a log with at least one frame")
-    _check_distinct(log)
-    if budget is None:
-        budget = prune_decimate(log, r).retained
-    first = log.first_seen()
-    landmarks = sorted(first)
+    budget = target if budget is None else budget
+    if budget < len(floor):
+        raise ValueError("budget below one observation per landmark")
     n_frames = len(log.frames)
     frame_index = {f.index: i for i, f in enumerate(log.frames)}
-    lm_index = {lm: n_frames + i for i, lm in enumerate(landmarks)}
-    n = n_frames + len(landmarks)
+    lm_index = {lm: n_frames + i for i, lm in enumerate(sorted(lm for _, lm in floor))}
+    n = n_frames + len(lm_index)
+    selected, candidates = set(floor), sorted(rest)
 
-    selected = {(frame, lm) for lm, frame in first.items()}
-    if budget < len(selected):
-        raise ValueError("budget below one observation per landmark")
-    candidates = sorted(o for o in log.observations() if o not in selected)
+    L = np.zeros((n, n))
 
-    # reduced Laplacian: ground vertex 0 (the first pose) removed
-    L = np.zeros((n - 1, n - 1))
+    def add_edge(a: int, b: int) -> None:
+        L[a, a] += 1.0
+        L[b, b] += 1.0
+        L[a, b] -= 1.0
+        L[b, a] -= 1.0
 
-    def add_edge(a: int, b: int, mat: np.ndarray) -> None:
-        ia, ib = a - 1, b - 1
-        if ia >= 0:
-            mat[ia, ia] += 1.0
-        if ib >= 0:
-            mat[ib, ib] += 1.0
-        if ia >= 0 and ib >= 0:
-            mat[ia, ib] -= 1.0
-            mat[ib, ia] -= 1.0
+    def inverse() -> np.ndarray:
+        minv = np.zeros((n, n))
+        minv[1:, 1:] = np.linalg.inv(L[1:, 1:])
+        return minv
 
     for i in range(n_frames - 1):
-        add_edge(i, i + 1, L)
-    for frame, lm in selected:
-        add_edge(frame_index[frame], lm_index[lm], L)
+        add_edge(i, i + 1)
+    for frame, lm in floor:
+        add_edge(frame_index[frame], lm_index[lm])
 
-    remaining = budget - len(selected)
-    if remaining and candidates:
-        minv = np.linalg.inv(L)
-        cu = np.array([frame_index[f] - 1 for f, _ in candidates])
-        cv = np.array([lm_index[lm] - 1 for _, lm in candidates])
-        alive = np.ones(len(candidates), dtype=bool)
-        since_refresh = 0
-        for _ in range(min(remaining, len(candidates))):
+    steps = min(budget - len(floor), len(candidates))
+    if steps:
+        cu, cv = np.array([(frame_index[f], lm_index[lm]) for f, lm in candidates]).T
+
+        def gains_of(minv: np.ndarray) -> np.ndarray:
             diag = np.diag(minv)
-            gains = np.where(cu >= 0, diag[np.maximum(cu, 0)], 0.0) + diag[cv]
-            cross = np.where(cu >= 0, minv[np.maximum(cu, 0), cv], 0.0)
-            gains -= 2.0 * cross
+            return diag[cu] + diag[cv] - 2.0 * minv[cu, cv]
+
+        alive = np.ones(len(candidates), dtype=bool)
+        minv = inverse()
+        since_refresh = 0
+        for _ in range(steps):
+            gains = gains_of(minv)
             gains[~alive] = -np.inf
             best = int(np.argmax(gains))
             q = gains[best]
             if q <= 0.0:
                 # SPD structure forbids this; roundoff has degraded the inverse
-                minv = np.linalg.inv(L)
+                minv = inverse()
                 since_refresh = 0
-                diag = np.diag(minv)
-                g = (0.0 if cu[best] < 0 else diag[cu[best]]) + diag[cv[best]]
-                g -= 0.0 if cu[best] < 0 else 2.0 * minv[cu[best], cv[best]]
-                q = g
+                q = gains_of(minv)[best]
                 if q <= 0.0:
                     raise RuntimeError(
                         "tree-connectivity update is numerically ill-conditioned"
                     )
-            frame, lm = candidates[best]
-            selected.add((frame, lm))
+            selected.add(candidates[best])
             alive[best] = False
-            b = np.zeros(n - 1)
-            if cu[best] >= 0:
-                b[cu[best]] = 1.0
-            b[cv[best]] -= 1.0
-            add_edge(frame_index[frame], lm_index[lm], L)
-            w = minv @ b
+            u, v = cu[best], cv[best]
+            add_edge(u, v)
+            w = minv[:, u] - minv[:, v]
             minv -= np.outer(w, w) / (1.0 + q)
             since_refresh += 1
             if since_refresh >= _REFRESH_EVERY:
-                minv = np.linalg.inv(L)
+                minv = inverse()
                 since_refresh = 0
-
-    frames = [
-        Frame(
-            f.index,
-            tuple(lm for lm in f.observations if (f.index, lm) in selected),
-        )
-        for f in log.frames
-    ]
-    return _result("tgreedy", r, log, frames)
+    return _keep("tgreedy", r, log, selected)
 
 
 def apply_policy(

@@ -18,9 +18,18 @@ from graphelim.oracle import (
     SparseSystem,
     scalar_permutation,
 )
+from graphelim.pruning import (
+    _REFRESH_EVERY,
+    PruneResult,
+    _check_distinct,
+    _check_rate,
+    _result,
+    prune_decimate,
+)
 from graphelim.simulate import (
     DEFAULT_LANDMARK_DIM,
     DEFAULT_POSE_DIM,
+    Frame,
     ObservationLog,
 )
 
@@ -307,3 +316,131 @@ def reference_worst_case_graph(
         for i in range(n_x):
             g.add_factor((i, n_x + j))
     return g
+
+
+def reference_prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneResult:
+    """Uniformly random subset, count-matched to decimation at the same r.
+
+    Each landmark's first observation is always retained; otherwise
+    landmarks would drop out of the graph entirely and the comparison
+    would confound node count with edge structure.
+    """
+    _check_rate(r)
+    _check_distinct(log)
+    target = prune_decimate(log, r).retained
+    first = log.first_seen()
+    forced = {(frame, lm) for lm, frame in first.items()}
+    pool = [obs for obs in log.observations() if obs not in forced]
+    extra = target - len(forced)
+    if extra < 0:
+        raise ValueError("decimation budget below one observation per landmark")
+    rng = np.random.default_rng(seed)
+    picked = rng.choice(len(pool), size=extra, replace=False) if extra else []
+    keep = forced | {pool[i] for i in picked}
+    frames = [
+        Frame(f.index, tuple(lm for lm in f.observations if (f.index, lm) in keep))
+        for f in log.frames
+    ]
+    return _result("rand", r, log, frames)
+
+
+def reference_prune_tgreedy(
+    log: ObservationLog, r: int, budget: int | None = None
+) -> PruneResult:
+    """Greedy tree-connectivity selection, count-matched to decimation.
+
+    Starting from the odometry chain plus one observation per landmark
+    (the initialization floor), repeatedly add the observation edge that
+    maximizes the spanning-tree count of the retained variable-adjacency
+    graph. By the matrix-tree theorem the count is det of the reduced
+    Laplacian, and adding edge (u, v) scales it by 1 + q with
+    q = b^T L^{-1} b, b = e_u - e_v, so each step just maximizes the
+    quadratic form; the inverse is maintained by rank-one updates and
+    periodically refreshed from scratch to contain roundoff.
+    """
+    _check_rate(r)
+    if not log.frames:
+        raise ValueError("tgreedy needs a log with at least one frame")
+    _check_distinct(log)
+    if budget is None:
+        budget = prune_decimate(log, r).retained
+    first = log.first_seen()
+    landmarks = sorted(first)
+    n_frames = len(log.frames)
+    frame_index = {f.index: i for i, f in enumerate(log.frames)}
+    lm_index = {lm: n_frames + i for i, lm in enumerate(landmarks)}
+    n = n_frames + len(landmarks)
+
+    selected = {(frame, lm) for lm, frame in first.items()}
+    if budget < len(selected):
+        raise ValueError("budget below one observation per landmark")
+    candidates = sorted(o for o in log.observations() if o not in selected)
+
+    # reduced Laplacian: ground vertex 0 (the first pose) removed
+    L = np.zeros((n - 1, n - 1))
+
+    def add_edge(a: int, b: int, mat: np.ndarray) -> None:
+        ia, ib = a - 1, b - 1
+        if ia >= 0:
+            mat[ia, ia] += 1.0
+        if ib >= 0:
+            mat[ib, ib] += 1.0
+        if ia >= 0 and ib >= 0:
+            mat[ia, ib] -= 1.0
+            mat[ib, ia] -= 1.0
+
+    for i in range(n_frames - 1):
+        add_edge(i, i + 1, L)
+    for frame, lm in selected:
+        add_edge(frame_index[frame], lm_index[lm], L)
+
+    remaining = budget - len(selected)
+    if remaining and candidates:
+        minv = np.linalg.inv(L)
+        cu = np.array([frame_index[f] - 1 for f, _ in candidates])
+        cv = np.array([lm_index[lm] - 1 for _, lm in candidates])
+        alive = np.ones(len(candidates), dtype=bool)
+        since_refresh = 0
+        for _ in range(min(remaining, len(candidates))):
+            diag = np.diag(minv)
+            gains = np.where(cu >= 0, diag[np.maximum(cu, 0)], 0.0) + diag[cv]
+            cross = np.where(cu >= 0, minv[np.maximum(cu, 0), cv], 0.0)
+            gains -= 2.0 * cross
+            gains[~alive] = -np.inf
+            best = int(np.argmax(gains))
+            q = gains[best]
+            if q <= 0.0:
+                # SPD structure forbids this; roundoff has degraded the inverse
+                minv = np.linalg.inv(L)
+                since_refresh = 0
+                diag = np.diag(minv)
+                g = (0.0 if cu[best] < 0 else diag[cu[best]]) + diag[cv[best]]
+                g -= 0.0 if cu[best] < 0 else 2.0 * minv[cu[best], cv[best]]
+                q = g
+                if q <= 0.0:
+                    raise RuntimeError(
+                        "tree-connectivity update is numerically ill-conditioned"
+                    )
+            frame, lm = candidates[best]
+            selected.add((frame, lm))
+            alive[best] = False
+            b = np.zeros(n - 1)
+            if cu[best] >= 0:
+                b[cu[best]] = 1.0
+            b[cv[best]] -= 1.0
+            add_edge(frame_index[frame], lm_index[lm], L)
+            w = minv @ b
+            minv -= np.outer(w, w) / (1.0 + q)
+            since_refresh += 1
+            if since_refresh >= _REFRESH_EVERY:
+                minv = np.linalg.inv(L)
+                since_refresh = 0
+
+    frames = [
+        Frame(
+            f.index,
+            tuple(lm for lm in f.observations if (f.index, lm) in selected),
+        )
+        for f in log.frames
+    ]
+    return _result("tgreedy", r, log, frames)

@@ -101,6 +101,55 @@ def test_bad_worst_case_manifest_exits_one(tmp_path, worst_case, field):
     assert field in proc.stderr
 
 
+def test_worst_case_manifest_with_unknown_key_exits_one(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"worst_case": {"n_x": 4, "n_l": 3}, "sed": 3}))
+    out = tmp_path / "x"
+    proc = run_cli("experiment", "--manifest", str(manifest), "--out", str(out))
+    assert proc.returncode == 1, proc.stderr
+    assert "unknown worst-case manifest keys ['sed']" in proc.stderr
+    assert not out.exists()
+
+
+_SIM_OPTION_VALUES = {
+    "--frames": ("9",), "--landmarks": ("2",), "--sim-seed": ("3",),
+    "--amplitude": ("2",), "--wavelength": ("5",), "--step-size": ("0.5",),
+    "--range": ("4",), "--fov-deg": ("90",), "--region": ("0", "5", "-1", "1"),
+    "--min-obs": ("3",),
+}
+
+
+@pytest.mark.parametrize(
+    "args, source, ignored",
+    [
+        (("--manifest", "{manifest}", "--d-x", "2", "--frames", "9"),
+         "--manifest", ["--frames", "--d-x"]),
+        (("--manifest", "{manifest}", "--worst-case", "3", "4"),
+         "--manifest", ["--worst-case"]),
+        (("--worst-case", "3", "4", "--frames", "9", "--amplitude", "2"),
+         "--worst-case", ["--frames", "--amplitude"]),
+    ],
+)
+def test_experiment_rejects_source_options_the_source_ignores(
+    tmp_path, capsys, args, source, ignored
+):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"worst_case": {"n_x": 4, "n_l": 3}}))
+    out = tmp_path / "x"
+    args = [a.format(manifest=manifest) for a in args]
+    assert cli.main(["experiment", *args, "--out", str(out)]) == 1
+    assert f"{', '.join(ignored)} cannot be used with {source}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, values", _SIM_OPTION_VALUES.items())
+def test_gen_worst_case_rejects_simulation_options(tmp_path, capsys, flag, values):
+    out = tmp_path / "x"
+    assert cli.main(["gen", "--worst-case", "3", "4", flag, *values, "--out", str(out)]) == 1
+    assert f"{flag} cannot be used with --worst-case" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "args, field",
     [

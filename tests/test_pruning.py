@@ -1,7 +1,10 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphelim.pruning import (
     apply_policy,
@@ -23,7 +26,7 @@ from graphelim.simulate import (
     worst_case_log,
 )
 
-from helpers import count_spanning_trees
+from helpers import count_spanning_trees, reference_prune_random, reference_prune_tgreedy
 
 
 def window_log(spans: dict[int, range], n_frames: int) -> ObservationLog:
@@ -32,6 +35,24 @@ def window_log(spans: dict[int, range], n_frames: int) -> ObservationLog:
         obs = tuple(sorted(lm for lm, span in spans.items() if i in span))
         frames.append(Frame(i, obs))
     return ObservationLog(tuple(frames), max(spans) + 1)
+
+
+@st.composite
+def random_window_logs(draw, max_frames: int = 30) -> ObservationLog:
+    """A log of 1..max_frames frames, starting at frame 0..3, in which each of
+    0..12 landmarks is seen over one (possibly empty) window, listed in a
+    drawn order within each frame."""
+    n_frames = draw(st.integers(1, max_frames))
+    start = draw(st.integers(0, 3))
+    spans = []
+    for _ in range(draw(st.integers(0, 12))):
+        lo = draw(st.integers(0, n_frames))
+        spans.append(range(lo, draw(st.integers(lo, n_frames))))
+    frames = []
+    for i in range(n_frames):
+        seen = [lm for lm, span in enumerate(spans) if i in span]
+        frames.append(Frame(start + i, tuple(draw(st.permutations(seen)))))
+    return ObservationLog(tuple(frames), len(spans))
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +97,20 @@ def test_decimate_always_keeps_first_observation(sim_log):
         kept = set(prune_decimate(sim_log, r).log.observations())
         for lm, frame in first.items():
             assert (frame, lm) in kept
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        ({0: 0}, "landmark 1 needs a decimation offset in 0..2, got None"),
+        ({0: 0, 1: 7}, "landmark 1 needs a decimation offset in 0..2, got 7"),
+        ({0: -1, 1: 0}, "landmark 0 needs a decimation offset in 0..2, got -1"),
+    ],
+)
+def test_decimate_rejects_missing_or_out_of_range_offset(offsets, message):
+    log = window_log({0: range(0, 9), 1: range(0, 9)}, 9)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        prune_decimate(log, 3, offsets=offsets)
 
 
 def test_decimate_explicit_offsets():
@@ -217,6 +252,29 @@ def test_tgreedy_tree_count_monotone_under_greedy_growth():
         if prev is not None:
             assert count >= prev
         prev = count
+
+
+# -- count-matched policies against the reference -----------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(log=random_window_logs(), r=st.integers(1, 6), seed=st.integers(0, 3))
+def test_count_matched_policies_equal_reference(log, r, seed):
+    assert prune_random(log, r, seed) == reference_prune_random(log, r, seed)
+    assert prune_tgreedy(log, r) == reference_prune_tgreedy(log, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log=random_window_logs(max_frames=8), r=st.integers(1, 6))
+def test_tgreedy_equals_reference_at_every_budget(log, r):
+    for budget in range(len(log.first_seen()), log.total_observations() + 1):
+        assert prune_tgreedy(log, r, budget) == reference_prune_tgreedy(log, r, budget)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_count_matched_policies_equal_reference_on_sim_log(sim_log, r):
+    assert prune_random(sim_log, r, seed=2) == reference_prune_random(sim_log, r, seed=2)
+    assert prune_tgreedy(sim_log, r) == reference_prune_tgreedy(sim_log, r)
 
 
 # -- predictions -------------------------------------------------------------
