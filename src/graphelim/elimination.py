@@ -13,16 +13,16 @@ values-independent proxy for the FLOPs of the matching sparse
 factorization.
 
 The cost needs only separators, which `elimination_tree` gives in one
-pass. The pairwise fill loop, `_eliminate`, runs only where fill itself
-is wanted: the `simulate_elimination` trace and `min_degree_ordering`.
+pass. The fill step, `_eliminate`, runs only where fill itself is wanted:
+the `simulate_elimination` trace and `min_degree_ordering`; it finds the
+neighbors each former neighbor gains with one set difference.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import FactorGraph, Kind, ParseError
 
@@ -61,21 +61,20 @@ def _check_ordering(graph: FactorGraph, ordering: Sequence[int]) -> None:
         )
 
 
-def _eliminate(adj: list[set[int]], v: int) -> tuple[list[int], list[tuple[int, int]]]:
-    """Eliminate `v` in place; return its sorted neighbors and the fill pairs added."""
-    nbrs = sorted(adj[v])
-    fill: list[tuple[int, int]] = []
-    for i, u in enumerate(nbrs):
-        au = adj[u]
-        for w in nbrs[i + 1:]:
-            if w not in au:
-                au.add(w)
-                adj[w].add(u)
-                fill.append((u, w))
+def _eliminate(adj: list[set[int]], v: int) -> Iterator[tuple[int, set[int]]]:
+    """Eliminate `v` in place; yield each former neighbor and the neighbors it gains.
+
+    Callers must exhaust the generator: `v` is eliminated only then.
+    """
+    nbrs = adj[v]
+    adj[v] = set()
     for u in nbrs:
-        adj[u].discard(v)
-    adj[v].clear()
-    return nbrs, fill
+        au = adj[u]
+        au.discard(v)
+        new = nbrs - au
+        new.discard(u)
+        au |= new
+        yield u, new
 
 
 def simulate_elimination(
@@ -87,9 +86,10 @@ def simulate_elimination(
     dims = graph.dims
     steps: list[Step] = []
     for v in ordering:
-        nbrs, fill = _eliminate(adj, v)
+        nbrs = frozenset(adj[v])
+        fill = sorted((u, w) for u, new in _eliminate(adj, v) for w in new if u < w)
         d_s = sum(dims[u] for u in nbrs)
-        steps.append(Step(v, dims[v], d_s, frozenset(nbrs), tuple(fill)))
+        steps.append(Step(v, dims[v], d_s, nbrs, tuple(fill)))
     return EliminationTrace(tuple(steps))
 
 
@@ -160,12 +160,10 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
     order: list[int] = []
     while alive:
         v = min(alive, key=lambda u: (deg[u], kind_rank[u], u))
-        nbrs, fill = _eliminate(adj, v)
-        for u, w in fill:
-            deg[u] += dims[w]
-            deg[w] += dims[u]
-        for u in nbrs:
+        for u, new in _eliminate(adj, v):
             deg[u] -= dims[v]
+            for w in new:
+                deg[u] += dims[w]
         alive.remove(v)
         order.append(v)
     return order
@@ -182,11 +180,13 @@ def natural_ordering(graph: FactorGraph) -> list[int]:
 
 
 def optimal_ordering_bruteforce(graph: FactorGraph) -> tuple[list[int], int]:
-    """Exhaustively minimize elimination cost over every permutation.
+    """Minimize elimination cost exactly over every ordering.
 
     Only feasible for tiny graphs; guarded at 10 variables. Returns the
     first minimizer in lexicographic permutation order together with its
-    cost. Uses a bitmask elimination kernel to keep the n! loop tolerable.
+    cost. Once a set S is eliminated, v's separator is the set of variables
+    outside S that v reaches through S, whatever order S went in (Rose,
+    Tarjan and Lueker 1976), so the search is a dynamic program over S.
     """
     n = graph.n_vars
     if n == 0:
@@ -196,40 +196,39 @@ def optimal_ordering_bruteforce(graph: FactorGraph) -> tuple[list[int], int]:
             f"brute force limited to {BRUTE_FORCE_LIMIT} variables, got {n}"
         )
     dims = graph.dims
-    base_adj = [0] * n
-    for v, nbrs in enumerate(graph.adjacency()):
-        for u in nbrs:
-            base_adj[v] |= 1 << u
-    # summed scalar dimension for every subset of variables
+    adj = [sum(1 << u for u in nbrs) for nbrs in graph.adjacency()]
+    # summed scalar dimension and union of neighbors of every subset
     dimsum = [0] * (1 << n)
+    nbrsum = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length() - 1
         dimsum[mask] = dimsum[mask & (mask - 1)] + dims[low]
+        nbrsum[mask] = nbrsum[mask & (mask - 1)] | adj[low]
 
-    best_ec: int | None = None
-    best_perm: tuple[int, ...] | None = None
+    def step_cost(done: int, v: int) -> int:
+        # grow v's component within `done`; its outside neighbors are v's separator
+        comp, grown = 0, 1 << v
+        while grown != comp:
+            comp = grown
+            grown = comp | nbrsum[comp] & done
+        return dims[v] * (dims[v] + dimsum[nbrsum[comp] & ~(done | comp)]) ** 2
+
     full = (1 << n) - 1
-    for perm in itertools.permutations(range(n)):
-        adj = list(base_adj)
-        alive = full
-        ec = 0
-        for v in perm:
-            nb = adj[v] & alive & ~(1 << v)
-            ec += dims[v] * (dims[v] + dimsum[nb]) ** 2
-            if best_ec is not None and ec >= best_ec:
-                break
-            alive &= ~(1 << v)
-            m = nb
-            while m:
-                u = (m & -m).bit_length() - 1
-                adj[u] |= nb
-                m &= m - 1
-        else:
-            if best_ec is None or ec < best_ec:
-                best_ec = ec
-                best_perm = perm
-    assert best_perm is not None and best_ec is not None
-    return list(best_perm), best_ec
+    # best[done]: least cost of eliminating the variables outside `done`, and
+    # the smallest variable that can go first at that cost
+    best = [(0, -1)] * (full + 1)
+    for done in range(full - 1, -1, -1):
+        best[done] = min(
+            (step_cost(done, v) + best[done | 1 << v][0], v)
+            for v in range(n)
+            if not done >> v & 1
+        )
+    order: list[int] = []
+    done = 0
+    while done != full:
+        order.append(best[done][1])
+        done |= 1 << order[-1]
+    return order, best[0][0]
 
 
 ORDERING_FUNCTIONS: dict[str, Callable[[FactorGraph], list[int]]] = {

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
@@ -264,8 +265,21 @@ def write_report_csv(rows: list[ReportRow], path: str | Path) -> None:
     Path(path).write_text(rows_to_csv(rows), encoding="utf-8", newline="\n")
 
 
-def _parse_opt_int(s: str) -> int | None:
-    return int(s) if s else None
+_REQUIRED_FIELDS = ("frame_idx", "rate", "seed", "ec_block")
+
+
+def _parse_field(name: str, text: str) -> int | float | None:
+    """One numeric report field: finite and at least its floor, empty if optional."""
+    if not text and name not in _REQUIRED_FIELDS:
+        return None
+    try:
+        value = float(text) if name == "ec_block" else int(text)
+    except ValueError:
+        raise ValueError(f"{name}: expected a number, got {text!r}") from None
+    low = 1 if name == "rate" else 0
+    if not low <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= {low}, got {text!r}")
+    return value
 
 
 def read_report_csv(path: str | Path) -> list[ReportRow]:
@@ -285,16 +299,10 @@ def read_report_csv(path: str | Path) -> list[ReportRow]:
                 raise ValueError(f"unknown policy {rec[1]!r}")
             rows.append(
                 ReportRow(
-                    frame_idx=int(rec[0]),
-                    policy=rec[1],
-                    rate=int(rec[2]),
-                    seed=int(rec[3]),
-                    n_vars=_parse_opt_int(rec[4]),
-                    n_factors=_parse_opt_int(rec[5]),
-                    ec_block=float(rec[6]),
-                    ec_bt=_parse_opt_int(rec[7]),
-                    oracle_mult_count=_parse_opt_int(rec[8]),
-                    predicted_ec=_parse_opt_int(rec[9]),
+                    *(
+                        cell if name == "policy" else _parse_field(name, cell)
+                        for name, cell in zip(CSV_HEADER, rec)
+                    )
                 )
             )
         except ValueError as exc:

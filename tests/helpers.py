@@ -10,7 +10,12 @@ from typing import Sequence
 import numpy as np
 
 from graphelim.cliquetree import Clique, CliqueTree
-from graphelim.elimination import simulate_elimination
+from graphelim.elimination import (
+    BRUTE_FORCE_LIMIT,
+    EliminationTrace,
+    Step,
+    _check_ordering,
+)
 from graphelim.graph import FactorGraph, Kind
 from graphelim.oracle import (
     CholeskyCount,
@@ -196,7 +201,7 @@ def reference_clique_tree(
     separators off the elimination tree; the two must be equal on every
     nonempty graph.
     """
-    trace = simulate_elimination(graph, ordering)
+    trace = reference_simulate_elimination(graph, ordering)
     n = graph.n_vars
     pos = {v: i for i, v in enumerate(ordering)}
     sep = {s.var_id: s.separator for s in trace.steps}
@@ -444,3 +449,125 @@ def reference_prune_tgreedy(
         for f in log.frames
     ]
     return _result("tgreedy", r, log, frames)
+
+
+def reference_eliminate(
+    adj: list[set[int]], v: int
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Eliminate `v` in place; return its sorted neighbors and the fill pairs added.
+
+    The pairwise fill loop: the reference for `elimination._eliminate`.
+    """
+    nbrs = sorted(adj[v])
+    fill: list[tuple[int, int]] = []
+    for i, u in enumerate(nbrs):
+        au = adj[u]
+        for w in nbrs[i + 1:]:
+            if w not in au:
+                au.add(w)
+                adj[w].add(u)
+                fill.append((u, w))
+    for u in nbrs:
+        adj[u].discard(v)
+    adj[v].clear()
+    return nbrs, fill
+
+
+def reference_simulate_elimination(
+    graph: FactorGraph, ordering: Sequence[int]
+) -> EliminationTrace:
+    """Run node elimination under `ordering`, recording separators and fill.
+
+    The reference for `simulate_elimination`; traces must be equal.
+    """
+    _check_ordering(graph, ordering)
+    adj = graph.adjacency()
+    dims = graph.dims
+    steps: list[Step] = []
+    for v in ordering:
+        nbrs, fill = reference_eliminate(adj, v)
+        d_s = sum(dims[u] for u in nbrs)
+        steps.append(Step(v, dims[v], d_s, frozenset(nbrs), tuple(fill)))
+    return EliminationTrace(tuple(steps))
+
+
+def reference_min_degree_ordering(graph: FactorGraph) -> list[int]:
+    """Greedy minimum-degree ordering, block-aware.
+
+    Degree is the summed scalar dimension of current elimination-graph
+    neighbors. Ties break landmark-before-pose, then to the lowest
+    variable id. The reference for `min_degree_ordering`, which must give
+    the same ordering.
+    """
+    n = graph.n_vars
+    if n == 0:
+        raise ValueError("min_degree_ordering requires a nonempty graph")
+    adj = graph.adjacency()
+    dims = graph.dims
+    kind_rank = [0 if v.kind is Kind.LANDMARK else 1 for v in graph.variables]
+    deg = [sum(dims[u] for u in adj[v]) for v in range(n)]
+    alive = set(range(n))
+    order: list[int] = []
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], kind_rank[u], u))
+        nbrs, fill = reference_eliminate(adj, v)
+        for u, w in fill:
+            deg[u] += dims[w]
+            deg[w] += dims[u]
+        for u in nbrs:
+            deg[u] -= dims[v]
+        alive.remove(v)
+        order.append(v)
+    return order
+
+
+def reference_optimal_ordering_bruteforce(graph: FactorGraph) -> tuple[list[int], int]:
+    """Exhaustively minimize elimination cost over every permutation.
+
+    Only feasible for tiny graphs; guarded at 10 variables. Returns the
+    first minimizer in lexicographic permutation order together with its
+    cost. Uses a bitmask elimination kernel to keep the n! loop tolerable.
+    The reference for `optimal_ordering_bruteforce`.
+    """
+    n = graph.n_vars
+    if n == 0:
+        raise ValueError("graph is empty")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"brute force limited to {BRUTE_FORCE_LIMIT} variables, got {n}"
+        )
+    dims = graph.dims
+    base_adj = [0] * n
+    for v, nbrs in enumerate(graph.adjacency()):
+        for u in nbrs:
+            base_adj[v] |= 1 << u
+    # summed scalar dimension for every subset of variables
+    dimsum = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        dimsum[mask] = dimsum[mask & (mask - 1)] + dims[low]
+
+    best_ec: int | None = None
+    best_perm: tuple[int, ...] | None = None
+    full = (1 << n) - 1
+    for perm in itertools.permutations(range(n)):
+        adj = list(base_adj)
+        alive = full
+        ec = 0
+        for v in perm:
+            nb = adj[v] & alive & ~(1 << v)
+            ec += dims[v] * (dims[v] + dimsum[nb]) ** 2
+            if best_ec is not None and ec >= best_ec:
+                break
+            alive &= ~(1 << v)
+            m = nb
+            while m:
+                u = (m & -m).bit_length() - 1
+                adj[u] |= nb
+                m &= m - 1
+        else:
+            if best_ec is None or ec < best_ec:
+                best_ec = ec
+                best_perm = perm
+    assert best_perm is not None and best_ec is not None
+    return list(best_perm), best_ec

@@ -245,3 +245,30 @@ def test_malformed_report_csv_exits_one(tmp_path, row):
     proc = run_cli("report", "--csv", str(csv_path), "--out", str(tmp_path / "rep"))
     assert proc.returncode == 1, proc.stderr
     assert f"{csv_path}:3:" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ec_block", "nan"),
+        ("ec_block", "inf"),
+        ("ec_block", "1e400"),
+        ("ec_block", "-5"),
+        ("rate", "0"),
+        ("frame_idx", "-1"),
+        ("seed", "-1"),
+        ("n_vars", "-1"),
+        ("n_factors", "-2"),
+        ("ec_bt", "-216"),
+        ("oracle_mult_count", "-1"),
+        ("predicted_ec", "-216"),
+    ],
+)
+def test_out_of_range_report_field_exits_one(tmp_path, field, value):
+    row = dict(zip(CSV_HEADER, _GOOD_ROW.split(",")))
+    row[field] = value
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text(f"{','.join(CSV_HEADER)}\n{_GOOD_ROW}\n{','.join(row.values())}\n")
+    proc = run_cli("report", "--csv", str(csv_path), "--out", str(tmp_path / "rep"))
+    assert proc.returncode == 1, proc.stderr
+    assert f"{csv_path}:3: {field} " in proc.stderr

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,12 @@ from graphelim.elimination import (
     trace_to_csv,
 )
 from graphelim.graph import FactorGraph, Kind
-from graphelim.simulate import worst_case_graph
+from graphelim.simulate import (
+    build_graph,
+    default_config,
+    simulate_trajectory,
+    worst_case_graph,
+)
 
 from helpers import (
     complete_graph,
@@ -29,6 +35,9 @@ from helpers import (
     random_ordering,
     random_scalar_graph,
     random_tree_graph,
+    reference_min_degree_ordering,
+    reference_optimal_ordering_bruteforce,
+    reference_simulate_elimination,
     scalar_graph,
 )
 
@@ -82,6 +91,31 @@ def test_trace_invariants_random():
                 assert frozenset((u, v)) not in seen_edges
                 seen_edges.add(frozenset((u, v)))
             eliminated.add(step.var_id)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_kernels_equal_pairwise_reference(rng):
+    g, order = random_graph_and_ordering(rng)
+    md = min_degree_ordering(g)
+    assert md == reference_min_degree_ordering(g)
+    for o in (order, md):
+        assert simulate_elimination(g, o) == reference_simulate_elimination(g, o)
+
+
+def test_kernels_equal_pairwise_reference_on_desk_and_worst_case():
+    graphs = [worst_case_graph(120, 240), worst_case_graph(300, 600)]
+    for seed in (1, 2, 3):
+        cfg = default_config(seed=seed)
+        log = simulate_trajectory(cfg)
+        graphs += [
+            build_graph(log.prefix(t), d_x=cfg.d_x, d_l=cfg.d_l)
+            for t in [*range(0, cfg.n_frames, 15), cfg.n_frames - 1]
+        ]
+    for g in graphs:
+        md = min_degree_ordering(g)
+        assert md == reference_min_degree_ordering(g)
+        assert simulate_elimination(g, md) == reference_simulate_elimination(g, md)
 
 
 # -- elimination_tree ------------------------------------------------------------
@@ -238,6 +272,19 @@ def test_min_degree_requires_nonempty():
         min_degree_ordering(FactorGraph())
 
 
+def test_min_degree_peak_memory_on_worst_case():
+    # the pairwise kernel's fill-pair list (7021 pairs for the first landmark)
+    # took the peak to 5.3 MiB here
+    g = worst_case_graph(120, 240)
+    tracemalloc.start()
+    try:
+        min_degree_ordering(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_landmark_first_ordering():
     g = worst_case_graph(2, 2)
     assert landmark_first_ordering(g) == [2, 3, 0, 1]
@@ -273,6 +320,19 @@ def test_bruteforce_matches_landmark_first_on_worst_case_2x2():
 def test_bruteforce_guard():
     with pytest.raises(ValueError):
         optimal_ordering_bruteforce(complete_graph(11))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_bruteforce_equals_permutation_reference(rng):
+    g = random_block_graph(
+        rng,
+        n_min=1,
+        n_max=8,
+        density=rng.uniform(0.0, 0.8),
+        connected=rng.random() < 0.5,
+    )
+    assert optimal_ordering_bruteforce(g) == reference_optimal_ordering_bruteforce(g)
 
 
 def test_bruteforce_dominates_heuristics_and_isomorphism_invariant():
