@@ -10,12 +10,9 @@ swept from a leaf but 14 when the middle is torn out first.
 
 from graphelim import FactorGraph, Kind, elimination_complexity, simulate_elimination
 
-g = FactorGraph()
-a = g.add_variable(Kind.POSE, 1)
-b = g.add_variable(Kind.POSE, 1)
-c = g.add_variable(Kind.POSE, 1)
-g.add_factor((a, b))
-g.add_factor((b, c))
+# three scalar poses a, b, c; factors (a, b) and (b, c), flat with offsets
+a, b, c = 0, 1, 2
+g = FactorGraph([Kind.POSE] * 3, [1, 1, 1], [a, b, b, c], [0, 2, 4])
 
 for ordering in ([a, b, c], [b, a, c]):
     trace = simulate_elimination(g, ordering)

@@ -14,7 +14,6 @@ from .cliquetree import (
     build_clique_tree,
     ec_of_clique_tree,
     format_clique_tree,
-    running_intersection_holds,
 )
 from .elimination import (
     EliminationTrace,

@@ -122,26 +122,3 @@ def format_clique_tree(tree: CliqueTree) -> str:
     for root in tree.roots:
         emit(root, 0)
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def running_intersection_holds(tree: CliqueTree) -> bool:
-    """Check that each variable's cliques form a connected subtree."""
-    occupied: dict[int, list[int]] = {}
-    for ci, c in enumerate(tree.cliques):
-        for v in list(c.frontal) + list(c.separator):
-            occupied.setdefault(v, []).append(ci)
-    for cliques in occupied.values():
-        members = set(cliques)
-        # walk up from an arbitrary member; all others must reach the
-        # highest member through members only
-        top: set[int] = set()
-        for ci in members:
-            path = []
-            cur: int | None = ci
-            while cur is not None and cur in members:
-                path.append(cur)
-                cur = tree.cliques[cur].parent
-            top.add(path[-1])
-        if len(top) != 1:
-            return False
-    return True

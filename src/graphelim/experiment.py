@@ -184,7 +184,7 @@ def _measure(
         system = synthesize_system(g, seed=0)
         oracle_mult = cholesky_count(system, ordering).mult_count
     return ReportRow(
-        t, policy, rate, seed, g.n_vars, len(g.factors), ec, ec_bt, oracle_mult,
+        t, policy, rate, seed, g.n_vars, g.n_factors, ec, ec_bt, oracle_mult,
         predicted,
     )
 
@@ -287,7 +287,7 @@ def read_report_csv(path: str | Path) -> list[ReportRow]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(CSV_HEADER):
-        raise ValueError(f"unexpected CSV header {header}")
+        raise ParseError(str(path), 1, f"unexpected CSV header {header}")
     rows = []
     for rec in reader:
         if not rec:

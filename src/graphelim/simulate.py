@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -251,24 +252,19 @@ def build_graph(
     Frame indices must strictly increase, as in every log this package
     reads or makes; the graph depends only on the frames' order.
     """
-    g = FactorGraph()
-    # each landmark's observing pose per observation: the list's length is
-    # its observation count, its distinct entries the poses it is tied to
-    seen_from: dict[int, list[int]] = {}
-    for f in log.frames:
-        x = g.add_variable(Kind.POSE, d_x)
-        for lm in f.observations:
-            seen_from.setdefault(lm, []).append(x)
-    for x in range(1, len(log.frames)):
-        g.add_factor((x - 1, x))
-
-    for lm in sorted(seen_from):
-        poses = seen_from[lm]
-        if len(poses) >= min_obs_to_init:
-            lm_var = g.add_variable(Kind.LANDMARK, d_l)
-            for x in dict.fromkeys(poses):
-                g.add_factor((x, lm_var))
-    return g
+    n_x = len(log.frames)
+    pose = np.repeat(np.arange(n_x), [len(f.observations) for f in log.frames])
+    landmark = np.fromiter(chain(*(f.observations for f in log.frames)), np.int64)
+    n_obs = np.unique(landmark, return_counts=True)[1]
+    kept = n_obs >= min_obs_to_init
+    key = np.sort(landmark * n_x + pose)  # by (landmark, pose): a factor per distinct key
+    tied = np.repeat(kept, n_obs) & (np.diff(key, prepend=key[:1] - 1) != 0)
+    lm_var = np.repeat(n_x - 1 + np.cumsum(kept), n_obs)
+    ties = np.stack([key[tied] % max(n_x, 1), lm_var[tied]], axis=1).ravel()
+    flat = np.concatenate([np.repeat(np.arange(n_x), 2)[1:-1], ties])  # odometry, then ties
+    n_l = int(kept.sum())
+    kinds, dims = [Kind.POSE] * n_x + [Kind.LANDMARK] * n_l, [d_x] * n_x + [d_l] * n_l
+    return FactorGraph(kinds, dims, flat, np.arange(0, flat.size + 1, 2))
 
 
 # -- serialization -----------------------------------------------------------

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from graphelim.elimination import (
     Step,
     _check_ordering,
 )
-from graphelim.graph import FactorGraph, Kind
+from graphelim.graph import Factor, FactorGraph, Kind, Variable
 from graphelim.oracle import (
     CholeskyCount,
     NotPositiveDefiniteError,
@@ -39,13 +39,98 @@ from graphelim.simulate import (
 )
 
 
+class ReferenceGraph:
+    """The per-factor graph builder: checks and inserts one record at a time.
+
+    The reference for `FactorGraph`'s constructor, which must give equal
+    variables, factors and adjacency, and raise the same `ValueError` text
+    for the first bad record. `build()` hands the records to the constructor.
+    """
+
+    def __init__(self) -> None:
+        self.variables: list[Variable] = []
+        self.factors: list[Factor] = []
+        self._adj: list[set[int]] = []
+
+    def add_variable(self, kind: Kind, dim: int) -> int:
+        if dim < 1:
+            raise ValueError(f"variable dim must be >= 1, got {dim}")
+        vid = len(self.variables)
+        self.variables.append(Variable(vid, kind, dim))
+        self._adj.append(set())
+        return vid
+
+    def add_factor(self, var_ids: Iterable[int]) -> int:
+        ids = tuple(var_ids)
+        if len(ids) < 1:
+            raise ValueError("factor needs at least one variable")
+        seen: set[int] = set()
+        for v in ids:
+            if not 0 <= v < len(self.variables):
+                raise ValueError(f"factor references unknown variable {v}")
+            if v in seen:
+                raise ValueError(f"duplicate variable {v} in factor")
+            seen.add(v)
+        fid = len(self.factors)
+        self.factors.append(Factor(fid, ids))
+        for i, u in enumerate(ids):
+            for w in ids[i + 1:]:
+                self._adj[u].add(w)
+                self._adj[w].add(u)
+        return fid
+
+    def adjacency(self) -> list[set[int]]:
+        return [set(s) for s in self._adj]
+
+    def neighbors(self, var_id: int) -> frozenset[int]:
+        return frozenset(self._adj[var_id])
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.variables)
+
+    def edge_count(self) -> int:
+        return sum(len(s) for s in self._adj) // 2
+
+    def build(self) -> FactorGraph:
+        return FactorGraph(
+            [v.kind for v in self.variables],
+            [v.dim for v in self.variables],
+            [v for f in self.factors for v in f.vars],
+            list(itertools.accumulate((len(f.vars) for f in self.factors), initial=0)),
+        )
+
+
+def running_intersection_holds(tree: CliqueTree) -> bool:
+    """Check that each variable's cliques form a connected subtree."""
+    occupied: dict[int, list[int]] = {}
+    for ci, c in enumerate(tree.cliques):
+        for v in list(c.frontal) + list(c.separator):
+            occupied.setdefault(v, []).append(ci)
+    for cliques in occupied.values():
+        members = set(cliques)
+        # walk up from an arbitrary member; all others must reach the
+        # highest member through members only
+        top: set[int] = set()
+        for ci in members:
+            path = []
+            cur: int | None = ci
+            while cur is not None and cur in members:
+                path.append(cur)
+                cur = tree.cliques[cur].parent
+            top.add(path[-1])
+        if len(top) != 1:
+            return False
+    return True
+
+
 def scalar_graph(n: int, edges) -> FactorGraph:
-    g = FactorGraph()
+    g = ReferenceGraph()
     for _ in range(n):
         g.add_variable(Kind.POSE, 1)
     for e in edges:
         g.add_factor(e)
-    return g
+    return g.build()
 
 
 def complete_graph(n: int) -> FactorGraph:
@@ -57,14 +142,14 @@ def path_graph(n: int) -> FactorGraph:
 
 
 def random_scalar_graph(rng: random.Random, n: int, density: float) -> FactorGraph:
-    g = FactorGraph()
+    g = ReferenceGraph()
     for _ in range(n):
         g.add_variable(Kind.POSE, 1)
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < density:
                 g.add_factor((i, j))
-    return g
+    return g.build()
 
 
 def random_block_graph(
@@ -75,7 +160,7 @@ def random_block_graph(
     dims=(1, 2, 3, 6),
     connected: bool = True,
 ) -> FactorGraph:
-    g = FactorGraph()
+    g = ReferenceGraph()
     n = rng.randint(n_min, n_max)
     for _ in range(n):
         g.add_variable(rng.choice([Kind.POSE, Kind.LANDMARK]), rng.choice(dims))
@@ -87,16 +172,16 @@ def random_block_graph(
         for j in range(i + lo, n):
             if rng.random() < density:
                 g.add_factor((i, j))
-    return g
+    return g.build()
 
 
 def random_tree_graph(rng: random.Random, n: int) -> FactorGraph:
-    g = FactorGraph()
+    g = ReferenceGraph()
     for _ in range(n):
         g.add_variable(Kind.POSE, 1)
     for v in range(1, n):
         g.add_factor((rng.randrange(v), v))
-    return g
+    return g.build()
 
 
 def random_ordering(rng: random.Random, n: int) -> list[int]:
@@ -279,7 +364,7 @@ def reference_build_graph(
     equal factor tuples, in the same order, on every log whose frame
     indices strictly increase.
     """
-    g = FactorGraph()
+    g = ReferenceGraph()
     pose_var: dict[int, int] = {}
     for f in log.frames:
         pose_var[f.index] = g.add_variable(Kind.POSE, d_x)
@@ -297,7 +382,7 @@ def reference_build_graph(
         for f in log.frames:
             if lm in f.observations:
                 g.add_factor((pose_var[f.index], lm_var[lm]))
-    return g
+    return g.build()
 
 
 def reference_worst_case_graph(
@@ -310,7 +395,7 @@ def reference_worst_case_graph(
     each landmark's factors to every pose. The reference for
     `worst_case_graph`, whose text must equal this graph's byte for byte.
     """
-    g = FactorGraph()
+    g = ReferenceGraph()
     for _ in range(n_x):
         g.add_variable(Kind.POSE, d_x)
     for _ in range(n_l):
@@ -320,7 +405,7 @@ def reference_worst_case_graph(
     for j in range(n_l):
         for i in range(n_x):
             g.add_factor((i, n_x + j))
-    return g
+    return g.build()
 
 
 def reference_prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneResult:

@@ -247,6 +247,15 @@ def test_malformed_report_csv_exits_one(tmp_path, row):
     assert f"{csv_path}:3:" in proc.stderr
 
 
+@pytest.mark.parametrize("first_lines", ["a,b\n", ""], ids=["wrong-header", "empty"])
+def test_bad_report_csv_header_exits_one_at_line_one(tmp_path, first_lines):
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text(first_lines)
+    proc = run_cli("report", "--csv", str(csv_path), "--out", str(tmp_path / "rep"))
+    assert proc.returncode == 1, proc.stderr
+    assert f"{csv_path}:1: unexpected CSV header" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

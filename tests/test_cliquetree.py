@@ -8,24 +8,26 @@ from graphelim.cliquetree import (
     build_clique_tree,
     ec_of_clique_tree,
     format_clique_tree,
-    running_intersection_holds,
 )
 from graphelim.elimination import elimination_complexity, min_degree_ordering
 from graphelim.graph import FactorGraph, Kind
 from graphelim.simulate import worst_case_graph
 
 from helpers import (
+    ReferenceGraph,
     path_graph,
     random_block_graph,
     random_graph_and_ordering,
     random_ordering,
     reference_clique_tree,
+    running_intersection_holds,
 )
 
 
 def test_single_variable_tree():
-    g = FactorGraph()
+    g = ReferenceGraph()
     g.add_variable(Kind.POSE, 3)
+    g = g.build()
     tree = build_clique_tree(g, [0])
     assert len(tree.cliques) == 1
     assert tree.root.frontal == (0,)
@@ -96,11 +98,12 @@ def test_frontal_partition_and_running_intersection():
 
 
 def test_forest_from_disconnected_graph():
-    g = FactorGraph()
+    g = ReferenceGraph()
     for _ in range(4):
         g.add_variable(Kind.POSE, 1)
     g.add_factor((0, 1))
     g.add_factor((2, 3))
+    g = g.build()
     tree = build_clique_tree(g, [0, 1, 2, 3])
     assert len(tree.roots) == 2
     with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from graphelim.simulate import (
 )
 
 from helpers import (
+    ReferenceGraph,
     complete_graph,
     path_graph,
     random_block_graph,
@@ -172,8 +173,9 @@ def test_filled_graph_is_chordal_and_ordering_is_perfect():
 
 
 def test_single_variable_cost_is_dim_cubed():
-    g = FactorGraph()
+    g = ReferenceGraph()
     g.add_variable(Kind.POSE, 3)
+    g = g.build()
     assert elimination_complexity(g, [0]) == 27
 
 
@@ -212,12 +214,13 @@ def test_lemma_edge_addition_never_decreases_cost_small():
         order = random_ordering(rng, n)
         u = rng.randrange(n)
         v = (u + rng.randrange(1, n)) % n
-        g_plus = FactorGraph()
+        g_plus = ReferenceGraph()
         for var in g.variables:
             g_plus.add_variable(var.kind, var.dim)
         for f in g.factors:
             g_plus.add_factor(f.vars)
         g_plus.add_factor((u, v))
+        g_plus = g_plus.build()
         assert elimination_complexity(g, order) <= elimination_complexity(g_plus, order)
 
 
@@ -239,8 +242,9 @@ def test_mult_count_examples():
 
 
 def test_mult_count_rejects_blocks():
-    g = FactorGraph()
+    g = ReferenceGraph()
     g.add_variable(Kind.POSE, 2)
+    g = g.build()
     with pytest.raises(ValueError):
         scalar_mult_count(g, [0])
 
@@ -255,11 +259,12 @@ def test_min_degree_eliminates_landmarks_first_on_worst_case():
 
 
 def test_min_degree_star_leaves_first():
-    g = FactorGraph()
+    g = ReferenceGraph()
     for _ in range(4):
         g.add_variable(Kind.POSE, 1)
     for leaf in (0, 1, 2):
         g.add_factor((leaf, 3))
+    g = g.build()
     assert min_degree_ordering(g) == [0, 1, 2, 3]
 
 
@@ -290,9 +295,10 @@ def test_landmark_first_ordering():
     assert landmark_first_ordering(g) == [2, 3, 0, 1]
     poses_only = path_graph(4)
     assert landmark_first_ordering(poses_only) == [0, 1, 2, 3]
-    lms = FactorGraph()
+    lms = ReferenceGraph()
     for _ in range(3):
         lms.add_variable(Kind.LANDMARK, 3)
+    lms = lms.build()
     assert landmark_first_ordering(lms) == [0, 1, 2]
     assert natural_ordering(g) == [0, 1, 2, 3]
 
@@ -350,12 +356,13 @@ def test_bruteforce_dominates_heuristics_and_isomorphism_invariant():
         inverse = [0] * n
         for old, new in enumerate(perm):
             inverse[new] = old
-        relabeled = FactorGraph()
+        relabeled = ReferenceGraph()
         for new_id in range(n):
             old = inverse[new_id]
             relabeled.add_variable(g.variables[old].kind, g.variables[old].dim)
         for f in g.factors:
             relabeled.add_factor(tuple(perm[v] for v in f.vars))
+        relabeled = relabeled.build()
         _, best_relabeled = optimal_ordering_bruteforce(relabeled)
         assert best_relabeled == best
 

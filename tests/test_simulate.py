@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,20 @@ def test_config_validation():
 def test_build_graph_on_full_worst_case_log_matches_generator():
     log = worst_case_log(5, 3)
     assert build_graph(log, d_x=6, d_l=3) == worst_case_graph(5, 3, 6, 3)
+
+
+def test_build_graph_peak_memory_on_worst_case():
+    # the per-factor builder peaked at 46.7 MiB here, the returned graph
+    # included; the bulk build peaks near 39.3 MiB
+    log = worst_case_log(300, 600)
+    tracemalloc.start()
+    try:
+        g = build_graph(log, min_obs_to_init=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n_factors == 299 + 300 * 600
+    assert peak < 42 * 2**20
 
 
 @st.composite
