@@ -13,16 +13,19 @@ values-independent proxy for the FLOPs of the matching sparse
 factorization.
 
 The cost needs only separators, which `elimination_tree` gives in one
-pass. The fill step, `_eliminate`, runs only where fill itself is wanted:
-the `simulate_elimination` trace and `min_degree_ordering`; it finds the
-neighbors each former neighbor gains with one set difference.
+pass. Explicit fill runs only where it is the product: the
+`simulate_elimination` trace, and `min_degree_ordering`, which keeps it
+over supervariables (groups of variables with equal closed
+neighborhoods) and reads each variable's exact degree off its group.
 """
 
 from __future__ import annotations
 
+import heapq
+import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import FactorGraph, Kind, ParseError
 
@@ -61,22 +64,6 @@ def _check_ordering(graph: FactorGraph, ordering: Sequence[int]) -> None:
         )
 
 
-def _eliminate(adj: list[set[int]], v: int) -> Iterator[tuple[int, set[int]]]:
-    """Eliminate `v` in place; yield each former neighbor and the neighbors it gains.
-
-    Callers must exhaust the generator: `v` is eliminated only then.
-    """
-    nbrs = adj[v]
-    adj[v] = set()
-    for u in nbrs:
-        au = adj[u]
-        au.discard(v)
-        new = nbrs - au
-        new.discard(u)
-        au |= new
-        yield u, new
-
-
 def simulate_elimination(
     graph: FactorGraph, ordering: Sequence[int]
 ) -> EliminationTrace:
@@ -86,10 +73,19 @@ def simulate_elimination(
     dims = graph.dims
     steps: list[Step] = []
     for v in ordering:
-        nbrs = frozenset(adj[v])
-        fill = sorted((u, w) for u, new in _eliminate(adj, v) for w in new if u < w)
+        nbrs = adj[v]
+        adj[v] = set()
+        fill: list[tuple[int, int]] = []
+        for u in nbrs:
+            au = adj[u]
+            au.discard(v)
+            new = nbrs - au
+            new.discard(u)
+            if new:
+                au |= new
+                fill += ((u, w) for w in new if u < w)
         d_s = sum(dims[u] for u in nbrs)
-        steps.append(Step(v, dims[v], d_s, nbrs, tuple(fill)))
+        steps.append(Step(v, dims[v], d_s, frozenset(nbrs), tuple(sorted(fill))))
     return EliminationTrace(tuple(steps))
 
 
@@ -148,24 +144,95 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
     neighbors. Ties break landmark-before-pose (a landmark's elimination
     cost can only stay put while an equal-degree pose defers it), then to
     the lowest variable id; the result is deterministic.
+
+    The graph is kept over supervariables: groups of variables with equal
+    closed neighborhoods, which stay equal until they are eliminated
+    (George and Liu 1989). A group keeps the summed dimension `weight` of
+    its closed neighborhood, so member `u` has the exact degree
+    `weight - dims[u]`, and a lazy heap of exact keys yields the least.
+    Members leave one at a time, each at its own key: their dims and kinds
+    differ, so eliminating a whole group at once would put other
+    variables' keys out of order with theirs.
     """
     n = graph.n_vars
     if n == 0:
         raise ValueError("min_degree_ordering requires a nonempty graph")
-    adj = graph.adjacency()
     dims = graph.dims
     kind_rank = [0 if v.kind is Kind.LANDMARK else 1 for v in graph.variables]
-    deg = [sum(dims[u] for u in adj[v]) for v in range(n)]
-    alive = set(range(n))
+    rng = random.Random(0)
+    tag = [rng.getrandbits(60) for _ in range(n)]  # hashes closed neighborhoods
+    # per group, indexed by the variable it started from: adjacent groups,
+    # alive members (least key last), their summed dims and tags, and the
+    # summed dims and tags of the closed neighborhood
+    adj = graph.adjacency()
+    members = [[v] for v in range(n)]
+    size, tags = list(dims), list(tag)
+    weight = [dims[v] + sum(map(dims.__getitem__, adj[v])) for v in range(n)]
+    closure = [tag[v] + sum(map(tag.__getitem__, adj[v])) for v in range(n)]
+    clique = [False] * n  # the closed neighborhood is known to be a clique
+    group = list(range(n))  # of each alive variable; -1 once eliminated
+
+    def member_key(v: int) -> tuple[int, int, int]:
+        return dims[v], -kind_rank[v], -v
+
+    def merge_twins(touched: Iterable[int]) -> None:
+        first: dict[int, int] = {}
+        for t in touched:
+            r = first.setdefault(closure[t], t)
+            if r != t and adj[r] ^ adj[t] == {r, t}:  # equal closed neighborhoods
+                for x in adj[t]:
+                    adj[x].discard(t)
+                for v in members[t]:
+                    group[v] = r
+                members[r] = sorted(members[r] + members[t], key=member_key)
+                adj[t], members[t] = set(), []
+                size[r] += size[t]
+                tags[r] += tags[t]
+
+    merge_twins(range(n))
+    heap = [(weight[v] - dims[v], kind_rank[v], v) for v in range(n)]
+    heapq.heapify(heap)
     order: list[int] = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], kind_rank[u], u))
-        for u, new in _eliminate(adj, v):
-            deg[u] -= dims[v]
-            for w in new:
-                deg[u] += dims[w]
-        alive.remove(v)
+    while len(order) < n:
+        d, _, v = heapq.heappop(heap)
+        s = group[v]
+        if s < 0 or weight[s] - dims[v] != d:
+            continue  # stale: eliminated, or its degree changed since
+        members[s].pop()
+        group[v] = -1
         order.append(v)
+        size[s] -= dims[v]
+        tags[s] -= tag[v]
+        nbrs, gone, filled = adj[s], not members[s], False
+        for t in nbrs:
+            at = adj[t]
+            if gone:
+                at.discard(s)
+            weight[t] -= dims[v]
+            closure[t] -= tag[v]
+            if clique[s]:
+                continue
+            new = nbrs - at
+            new.discard(t)
+            if new:
+                at |= new
+                weight[t] += sum(map(size.__getitem__, new))
+                closure[t] += sum(map(tags.__getitem__, new))
+                clique[t] = False
+                filled = True
+        touched = list(nbrs)
+        if gone:
+            adj[s] = set()
+        else:
+            touched.append(s)
+            weight[s] -= dims[v]
+            closure[s] -= tag[v]
+            clique[s] = True
+        for t in touched:
+            u = members[t][-1]
+            heapq.heappush(heap, (weight[t] - dims[u], kind_rank[u], u))
+        if filled:  # without fill every closure lost the same v: no new twins
+            merge_twins(touched)
     return order
 
 

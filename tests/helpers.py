@@ -202,6 +202,34 @@ def random_graph_and_ordering(rng: random.Random) -> tuple[FactorGraph, list[int
     return g, random_ordering(rng, g.n_vars)
 
 
+def random_twin_graph(rng: random.Random) -> FactorGraph:
+    """A block graph rich in twins, for the supervariable min-degree kernel.
+
+    Most variables copy the open neighborhood of an earlier variable (a
+    false twin) or its closed neighborhood (a true twin); the rest join
+    earlier variables at random. Kinds mix, dims are 1, 2, 3 or 6, and up
+    to three 3-ary factors are added at the end.
+    """
+    g = ReferenceGraph()
+    n = rng.randint(1, 16)
+    for v in range(n):
+        g.add_variable(rng.choice([Kind.POSE, Kind.LANDMARK]), rng.choice((1, 2, 3, 6)))
+        if v and rng.random() < 0.6:
+            twin = rng.randrange(v)
+            for u in sorted(g.neighbors(twin)):
+                g.add_factor((u, v))
+            if rng.random() < 0.5:
+                g.add_factor((twin, v))
+        else:
+            for u in range(v):
+                if rng.random() < 0.3:
+                    g.add_factor((u, v))
+    if n >= 3:
+        for _ in range(rng.randint(0, 3)):
+            g.add_factor(rng.sample(range(n), 3))
+    return g.build()
+
+
 def count_spanning_trees(n: int, edges) -> int:
     """Exhaustive spanning-tree count over all (n-1)-edge subsets."""
     edges = list(edges)
@@ -541,7 +569,8 @@ def reference_eliminate(
 ) -> tuple[list[int], list[tuple[int, int]]]:
     """Eliminate `v` in place; return its sorted neighbors and the fill pairs added.
 
-    The pairwise fill loop: the reference for `elimination._eliminate`.
+    The pairwise fill loop: the reference for the fill step of
+    `simulate_elimination` and `min_degree_ordering`.
     """
     nbrs = sorted(adj[v])
     fill: list[tuple[int, int]] = []

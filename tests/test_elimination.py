@@ -36,6 +36,7 @@ from helpers import (
     random_ordering,
     random_scalar_graph,
     random_tree_graph,
+    random_twin_graph,
     reference_min_degree_ordering,
     reference_optimal_ordering_bruteforce,
     reference_simulate_elimination,
@@ -104,8 +105,15 @@ def test_kernels_equal_pairwise_reference(rng):
         assert simulate_elimination(g, o) == reference_simulate_elimination(g, o)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_min_degree_equals_reference_on_twin_rich_graphs(rng):
+    g = random_twin_graph(rng)
+    assert min_degree_ordering(g) == reference_min_degree_ordering(g)
+
+
 def test_kernels_equal_pairwise_reference_on_desk_and_worst_case():
-    graphs = [worst_case_graph(120, 240), worst_case_graph(300, 600)]
+    graphs = [worst_case_graph(n, 2 * n) for n in (120, 300, 400)]
     for seed in (1, 2, 3):
         cfg = default_config(seed=seed)
         log = simulate_trajectory(cfg)
@@ -270,6 +278,30 @@ def test_min_degree_star_leaves_first():
 
 def test_min_degree_tie_breaks_to_lowest_id():
     assert min_degree_ordering(complete_graph(3)) == [0, 1, 2]
+
+
+def _block_graph(kinds: str, dims, factors) -> FactorGraph:
+    g = ReferenceGraph()
+    for kind, dim in zip(kinds, dims):
+        g.add_variable(Kind.LANDMARK if kind == "L" else Kind.POSE, dim)
+    for f in factors:
+        g.add_factor(f)
+    return g.build()
+
+
+def test_min_degree_orders_twin_members_by_exact_key():
+    # one supervariable of six: members leave largest dim first, landmark
+    # before pose, then lowest id
+    pairs = itertools.combinations(range(6), 2)
+    clique = _block_graph("PLPLLP", (3, 3, 6, 1, 6, 1), pairs)
+    assert min_degree_ordering(clique) == [4, 2, 1, 0, 3, 5]
+
+
+def test_min_degree_eliminates_one_member_at_a_time():
+    # after the centre goes, 0, 2 and 3 are twins; each still leaves at its
+    # own key, so 3 (a landmark) ties with 0 at degree 1 and goes first
+    star = _block_graph("PLPL", (1, 6, 3, 1), [(0, 1), (1, 2), (1, 3)])
+    assert min_degree_ordering(star) == [1, 2, 3, 0]
 
 
 def test_min_degree_requires_nonempty():
