@@ -61,7 +61,6 @@ from .oracle import (
     pearson_correlation,
     solve_with_factor,
     synthesize_system,
-    system_to_coo_text,
 )
 from .pruning import (
     PruneResult,

@@ -3,24 +3,15 @@
 The elimination-cost metrics are structural; this module provides the
 independent numeric side. `synthesize_system` builds a random symmetric
 positive-definite matrix whose scalar sparsity pattern is exactly the
-graph's variable adjacency expanded to blocks, and `cholesky_count`
-factorizes it while counting every scalar multiplication the algorithm
-performs. Column scaling multiplies by the reciprocal of the pivot
-square root, so one division is spent per pivot and everything else is a
-multiplication; divisions are reported separately.
-
-The factorization is multifrontal (Duff and Reid 1983; Liu 1992). Each
-run of consecutive pivots of one variable, merged into fundamental
-supernodes, gets a dense front over the indices its elimination touches.
-A front is assembled from the original rows of its pivots and from its
-children's update matrices, which are added into it as soon as each
-child is factored, so no n x n working matrix exists and no update waits
-on a stack. Structure comes only from the system's pattern (never from
-the elimination cost it is meant to check), and each pivot's
-multiplications are tallied from the front row it actually updates, so
-the counts equal those of the unblocked scalar loop. The fronts'
-(frontal, separator) dimensions are the supernodes of the elimination,
-an independent check of the clique tree.
+graph's variable adjacency expanded to blocks. `cholesky_count` factors it
+multifrontally (Duff and Reid 1983; Liu 1992), one dense front per
+fundamental supernode, each by a LAPACK Cholesky and solve, and tallies
+pivot by pivot, from the fronts' widths, the multiplications of the scalar
+right-looking Cholesky, whose column scaling by the reciprocal root spends
+one division per pivot. No count comes from the elimination cost it is
+meant to check; the factor is checked numerically, and a nonpositive pivot
+is named by the scalar loop on the pivot block LAPACK refused. The fronts'
+(frontal, separator) dimensions are an independent check of the clique tree.
 """
 
 from __future__ import annotations
@@ -180,75 +171,95 @@ def _fronts(
     return out
 
 
+# panels this small keep OpenBLAS's LAPACK on one thread: its threaded calls
+# on 100-250 pivots took 1 to over 40 ms each on a 2-core x86 VM
+_PANEL = 64
+
+
+def _extend_add(parent: np.ndarray, rel: np.ndarray, update: np.ndarray) -> None:
+    """parent[np.ix_(rel, rel)] += update for sorted, unique `rel`: a slice per
+    pair of its contiguous runs, or one scattered add past four runs."""
+    cuts = [0, *(np.flatnonzero(np.diff(rel) != 1) + 1).tolist(), rel.size]
+    if len(cuts) > 5:
+        parent[rel[:, None], rel] += update
+        return
+    runs = [(a, b, int(rel[a])) for a, b in zip(cuts, cuts[1:])]
+    for a, b, i in runs:
+        for c, d, j in runs:
+            parent[i:i + b - a, j:j + d - c] += update[a:b, c:d]
+
+
+def _pivot_by_pivot(block: np.ndarray, start: int) -> np.ndarray:
+    """Lower Cholesky factor of a pivot block by the scalar loop, raising
+    NotPositiveDefiniteError at its first nonpositive pivot."""
+    a = block.copy()
+    for j in range(a.shape[0]):
+        if a[j, j] <= 0.0:
+            raise NotPositiveDefiniteError(
+                f"nonpositive pivot {a[j, j]:.6g} at elimination index {start + j}"
+            )
+        a[j, j] = math.sqrt(a[j, j])
+        a[j + 1:, j] *= 1.0 / a[j, j]
+        a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j + 1:, j])
+    return np.tril(a)
+
+
 def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCount:
-    """Multifrontal sparse Cholesky under `ordering`, counting every scalar
-    multiplication and division actually executed.
+    """Multifrontal sparse Cholesky under `ordering`, tallying every scalar
+    multiplication and division of the unblocked scalar loop.
 
     A symbolic pass (`_fronts`) finds each front's index set and parent
-    from the pattern. The numeric pass then visits the fronts in
-    elimination order. A front is a dense matrix over its index set: the
-    original rows of its pivots plus the update matrices its children
-    added into it. Its pivots are factored one at a time on the pivot rows,
-    then one rank-p product forms the Schur complement over the rest of
-    the front, which is added into the parent's front at once (allocated
-    on the first child's arrival), so no update waits on a stack.
+    from the pattern. The numeric pass visits the fronts in elimination
+    order. A front is a dense matrix over its index set: the original rows
+    of its pivots plus the update matrices its children added into it.
+    Each panel of at most `_PANEL` pivot rows takes one Cholesky of its
+    diagonal block, one solve against that factor for the rest of its rows
+    and one product that updates the rest of the front. The Schur
+    complement is then added into the parent's front (`_extend_add`).
 
-    Each pivot's multiplications are tallied from the front row it
-    actually updates, d entries right of the pivot costing d + d(d+1)/2,
-    so the counts do not depend on how pivots are grouped into fronts.
-    The fill is the number of factor entries stored beyond the original
-    pattern. Structure is driven by the pattern and the extend-add, never
-    by numeric zeros, so counts are exact and reproducible. A pattern
+    Pivot j of a front of width f has d = f - j - 1 entries right of it,
+    costing d + d(d+1)/2 multiplications and one division; the fill counts
+    the factor entries stored beyond the original pattern. Both come from
+    the pattern alone, however pivots are grouped into fronts. A pattern
     whose variables do not share one pattern row, or whose elimination
-    would split a variable's pivots, raises ValueError. Raises
-    NotPositiveDefiniteError naming the pivot if a nonpositive pivot
-    appears.
+    would split a variable's pivots, raises ValueError. When a panel's
+    Cholesky fails, the scalar loop on that block alone raises
+    NotPositiveDefiniteError naming the first nonpositive pivot.
     """
     perm = scalar_permutation(system, ordering)
     fronts = _fronts(system, perm)
     pending: list[np.ndarray | None] = [None] * len(fronts)
     blocks = []
-    mult = 0
-    div = 0
-    stored = 0
+    mult = div = stored = 0
     for i, (index, p, parent, rel) in enumerate(fronts):
-        f = index.size
-        start = int(index[0])
+        f, start = index.size, int(index[0])
         rows = system.values[np.ix_(perm[start:start + p], perm[index])]
-        m = pending[i]
-        pending[i] = None
+        m, pending[i] = pending[i], None
         if m is None:
             # assigned, not added to zeros, so that a -0.0 pivot keeps its sign
             m = np.zeros((f, f))
             m[:p] = rows
         else:
             m[:p] += rows
-        for j in range(p):
-            pivot = m[j, j]
-            if pivot <= 0.0:
-                raise NotPositiveDefiniteError(
-                    f"nonpositive pivot {pivot:.6g} at elimination index {start + j}"
-                )
-            root = math.sqrt(pivot)
-            inv_root = 1.0 / root
-            div += 1
-            m[j, j] = root
-            d = f - j - 1
-            if d == 0:
-                continue
-            col = m[j, j + 1:] * inv_root
-            m[j, j + 1:] = col
-            mult += d + d * (d + 1) // 2
-            stored += d
-            m[j + 1:p, j + 1:] -= np.outer(col[:p - j - 1], col)
+        for a in range(0, p, _PANEL):
+            b = min(a + _PANEL, p)
+            try:
+                low = np.linalg.cholesky(m[a:b, a:b])
+            except np.linalg.LinAlgError:
+                low = _pivot_by_pivot(m[a:b, a:b], start + a)
+            m[a:b, a:b] = low.T
+            if b < f:
+                m[a:b, b:] = rest = np.linalg.solve(low, m[a:b, b:])
+                m[b:, b:] -= rest.T @ rest
         blocks.append((index, np.triu(m[:p])))
+        for d in range(f - 1, f - p - 1, -1):  # pivot j has d = f - j - 1
+            mult += d + d * (d + 1) // 2
+            div += 1
+            stored += d
         if parent >= 0:
-            r12 = m[:p, p:]
-            m[p:, p:] -= r12.T @ r12
             if pending[parent] is None:
-                size = fronts[parent][0].size
-                pending[parent] = np.zeros((size, size))
-            pending[parent][np.ix_(rel, rel)] += m[p:, p:]
+                pending[parent] = np.zeros((fronts[parent][0].size,) * 2)
+            _extend_add(pending[parent], rel, m[p:, p:])
     pat = system.pattern
     original = (np.count_nonzero(pat) - np.count_nonzero(np.diagonal(pat))) // 2
     return CholeskyCount(mult, div, stored - original, tuple(blocks), perm)
@@ -291,13 +302,3 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     if sx == 0.0 or sy == 0.0:
         raise ValueError("series has zero variance")
     return float(xc @ yc) / (sx * sy)
-
-
-def system_to_coo_text(system: SparseSystem) -> str:
-    """Coordinate text export: one `row col value` line per stored entry."""
-    rows, cols = np.nonzero(system.pattern)
-    lines = [
-        f"{r} {c} {float(system.values[r, c])!r}"
-        for r, c in zip(rows.tolist(), cols.tolist())
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")

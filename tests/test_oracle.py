@@ -17,12 +17,12 @@ from graphelim.elimination import (
 from graphelim.oracle import (
     NotPositiveDefiniteError,
     SparseSystem,
+    _extend_add,
     cholesky_count,
     pearson_correlation,
     scalar_permutation,
     solve_with_factor,
     synthesize_system,
-    system_to_coo_text,
 )
 from graphelim.simulate import (
     build_graph,
@@ -295,6 +295,66 @@ def test_blocked_kernel_fails_at_reference_index(rng):
     assert str(got.value).endswith(f"elimination index {position}")
 
 
+@pytest.mark.parametrize(
+    "n_x, order, var, scalar, position, pivots",
+    [
+        # poses 0-2 (dim 6) and landmark 6 merge into a 21-pivot root front
+        # from position 9; pose 1's third scalar is pivot 17, inside it
+        (3, [3, 4, 5, 0, 1, 2, 6], 1, 2, 17, 21),
+        # poses 0-10 and landmark 14: a 69-pivot root front, factored as
+        # panels of 64 and 5; pose 10's last scalar is pivot 74, in the second
+        (11, [11, 12, 13, *range(11), 14], 10, 5, 74, 69),
+    ],
+    ids=["one_panel", "second_panel"],
+)
+def test_failing_pivot_inside_merged_front_matches_reference(
+    n_x, order, var, scalar, position, pivots
+):
+    system = synthesize_system(worst_case_graph(n_x, 4), seed=5)
+    count = cholesky_count(system, order)
+    assert count.front_dims[-1] == (pivots, 0) and count.factor[-1][0][0] == 9
+    _assert_matches_reference(count, reference_cholesky_count(system, order))
+    i = system.var_offsets[var] + scalar
+    assert count.scalar_order[position] == i
+    broken = system.values.copy()
+    broken[i, i] = -0.5
+    bad = SparseSystem(broken, system.pattern, system.var_dims, system.var_offsets)
+    with pytest.raises(NotPositiveDefiniteError) as got:
+        cholesky_count(bad, order)
+    with pytest.raises(NotPositiveDefiniteError) as ref:
+        reference_cholesky_count(bad, order)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value).endswith(f"elimination index {position}")
+
+
+@st.composite
+def _scatter_case(draw):
+    size = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["one run", "singletons", "mixed"]))
+    if kind == "one run":
+        start = draw(st.integers(0, size - 1))
+        rel = range(start, draw(st.integers(start + 1, size)))
+    elif kind == "singletons":
+        half = st.integers(0, (size - 1) // 2)
+        rel = [2 * k for k in draw(st.lists(half, min_size=1, unique=True))]
+    else:
+        rel = draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))
+    return size, np.array(sorted(rel)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scatter_case())
+def test_run_sliced_extend_add_equals_fancy_index_scatter(case):
+    size, rel, seed = case
+    rng = np.random.default_rng(seed)
+    parent = rng.standard_normal((size, size))
+    update = rng.standard_normal((rel.size, rel.size))
+    expect = parent.copy()
+    expect[np.ix_(rel, rel)] += update
+    _extend_add(parent, rel, update)
+    assert np.array_equal(parent, expect)
+
+
 def test_scalar_ordering_accepted():
     g = worst_case_graph(2, 1, 2, 3)
     system = synthesize_system(g, seed=0)
@@ -320,14 +380,3 @@ def test_pearson_validation():
     with pytest.raises(ValueError):
         pearson_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
-
-# -- export ----------------------------------------------------------------------
-
-
-def test_coo_export_roundtrippable():
-    system = synthesize_system(path_graph(2), seed=0)
-    lines = system_to_coo_text(system).strip().splitlines()
-    entries = {(int(r), int(c)): float(v) for r, c, v in (ln.split() for ln in lines)}
-    assert len(entries) == 4
-    assert entries[(0, 1)] == entries[(1, 0)]
-    assert entries[(0, 0)] == system.values[0, 0]
