@@ -2,11 +2,15 @@
 
 Each variable's elimination clique is {var} union its separator, read off
 `elimination_tree`. Consecutive variables amalgamate into one supernode
-when the later variable's elimination clique equals the earlier one's
-minus itself AND the later variable has exactly one child in the
-elimination tree (strict / fundamental supernodes, no relaxed
-amalgamation). The per-clique cost sum d_f(C) * (d_f(C) + d_s(C))^2 is
-the clique-tree analogue of the per-variable elimination cost.
+(strict / fundamental supernodes, Liu, Ng and Peyton 1993; no relaxed
+amalgamation) when the later variable w has exactly one child in the
+elimination tree, that child is the variable `prev` eliminated just
+before it, and |sep(prev)| = |sep(w)| + 1. The size test is exact: when
+w is prev's parent, sep(prev) - {w} is a subset of sep(w), so the sizes
+agree iff sep(prev) = {w} union sep(w), and no set is compared or built.
+The per-clique cost sum d_f(C) * (d_f(C) + d_s(C))^2 is the clique-tree
+analogue of the per-variable elimination cost; a caller that needs both
+builds the elimination tree once and passes it to each.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elimination import elimination_tree
+from .elimination import EliminationTree, elimination_tree
 # bound here so that bench/traced.py can rebind it as a module attribute
 from .elimination import simulate_elimination  # noqa: F401
 from .graph import FactorGraph
@@ -50,15 +54,19 @@ class CliqueTree:
 
 
 def build_clique_tree(
-    graph: FactorGraph, ordering: Sequence[int], amalgamate: bool = True
+    graph: FactorGraph,
+    ordering: Sequence[int],
+    amalgamate: bool = True,
+    tree: EliminationTree | None = None,
 ) -> CliqueTree:
     """Supernodal clique tree for `graph` eliminated under `ordering`.
 
     With ``amalgamate=False`` every variable keeps its own singleton
     clique, in which case the clique-tree cost degenerates to the
-    per-variable elimination cost exactly.
+    per-variable elimination cost exactly. `tree` is
+    `elimination_tree(graph, ordering)` when the caller already has it.
     """
-    parent, sep = elimination_tree(graph, ordering)
+    parent, sep = elimination_tree(graph, ordering) if tree is None else tree
     dims = graph.dims
     etree_children = Counter(parent)
 
@@ -66,11 +74,12 @@ def build_clique_tree(
     # variable eliminated just before w
     runs: list[list[int]] = []
     for w in ordering:
-        merged = amalgamate and runs and etree_children[w] == 1
-        if merged and sep[runs[-1][-1]] == frozenset({w}) | sep[w]:
-            runs[-1].append(w)
-        else:
-            runs.append([w])
+        if amalgamate and runs and etree_children[w] == 1:
+            prev = runs[-1][-1]
+            if parent[prev] == w and len(sep[prev]) == len(sep[w]) + 1:
+                runs[-1].append(w)
+                continue
+        runs.append([w])
 
     # a clique's parent holds the tree parent of its last frontal variable
     clique_of_var = {v: ci for ci, run in enumerate(runs) for v in run}
@@ -86,7 +95,7 @@ def build_clique_tree(
                 frontal=tuple(run),
                 separator=sep[run[-1]],
                 frontal_dim=sum(dims[v] for v in run),
-                separator_dim=sum(dims[v] for v in sep[run[-1]]),
+                separator_dim=sum(map(dims.__getitem__, sep[run[-1]])),
                 parent=parents[ci],
                 children=tuple(children[ci]),
             )

@@ -89,39 +89,56 @@ def simulate_elimination(
     return EliminationTrace(tuple(steps))
 
 
-def elimination_tree(
-    graph: FactorGraph, ordering: Sequence[int]
-) -> tuple[list[int | None], list[frozenset[int]]]:
+# per variable id: elimination-tree parent (None at a root) and separator
+EliminationTree = tuple[list[int | None], list[frozenset[int]]]
+
+
+def elimination_tree(graph: FactorGraph, ordering: Sequence[int]) -> EliminationTree:
     """Elimination-tree parent and separator of every variable under `ordering`.
 
     One pass in elimination order: v's separator is its higher-ordered
     neighbors joined with its children's separators, minus v itself (Liu
     1990), and v's parent is the separator member eliminated earliest.
-    Both lists are indexed by variable id; a root's parent is None.
+    Both lists are indexed by variable id; a root's parent is None. The
+    higher-ordered neighbors are one intersection with the variables not
+    yet eliminated. The union of v's children's separators becomes v's
+    own set, which becomes or joins its parent's union in turn, so the
+    only copy of a separator is the frozen one returned.
     """
     _check_ordering(graph, ordering)
     pos = {v: i for i, v in enumerate(ordering)}
+    alive = set(range(graph.n_vars))
     # union of the separators of each not yet eliminated variable's children
     below: dict[int, set[int]] = {}
     parent: list[int | None] = [None] * graph.n_vars
     separator: list[frozenset[int]] = [frozenset()] * graph.n_vars
     for v in ordering:
+        alive.discard(v)
         sep = below.pop(v, set())
-        sep.update(u for u in graph.neighbors(v) if pos[u] > pos[v])
         sep.discard(v)
-        separator[v] = frozenset(sep)
+        sep |= alive.intersection(graph.neighbors(v))
         if sep:
-            p = min(sep, key=pos.__getitem__)
-            parent[v] = p
-            below.setdefault(p, set()).update(sep)
+            separator[v] = frozenset(sep)
+            p = parent[v] = ordering[min(map(pos.__getitem__, sep))]
+            acc = below.setdefault(p, sep)
+            if acc is not sep:
+                acc |= sep
     return parent, separator
 
 
-def elimination_complexity(graph: FactorGraph, ordering: Sequence[int]) -> int:
-    """Total elimination cost sum d_f * (d_f + d_s)^2 under `ordering`."""
+def elimination_complexity(
+    graph: FactorGraph, ordering: Sequence[int], tree: EliminationTree | None = None
+) -> int:
+    """Total elimination cost sum d_f * (d_f + d_s)^2 under `ordering`.
+
+    `tree` is `elimination_tree(graph, ordering)` when the caller already
+    has it; without it the tree is built here.
+    """
     dims = graph.dims
-    _, separator = elimination_tree(graph, ordering)
-    return sum(d * (d + sum(dims[u] for u in s)) ** 2 for d, s in zip(dims, separator))
+    _, separator = elimination_tree(graph, ordering) if tree is None else tree
+    return sum(
+        d * (d + sum(map(dims.__getitem__, s))) ** 2 for d, s in zip(dims, separator)
+    )
 
 
 def scalar_mult_count(graph: FactorGraph, ordering: Sequence[int]) -> int:

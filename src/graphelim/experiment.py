@@ -2,11 +2,12 @@
 
 For every (policy, rate, seed) cell the runner filters the observation
 log once, then for each sampled frame prefix builds the pruned graph,
-computes the per-variable and clique-tree elimination costs under the
-chosen ordering, optionally runs the counting Cholesky oracle, and
-appends one CSV row. Prediction overlay rows scale the measured `full`
-curve by 1/r^3 (keyframing) and 9/r^2 (decimation). Everything is
-sequential and seeded, so a spec reproduces its CSV byte for byte.
+orders it, builds its elimination tree once and computes both the
+per-variable and the clique-tree elimination cost from that one tree,
+optionally runs the counting Cholesky oracle, and appends one CSV row.
+Prediction overlay rows scale the measured `full` curve by 1/r^3
+(keyframing) and 9/r^2 (decimation). Everything is sequential and
+seeded, so a spec reproduces its CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 from .cliquetree import build_clique_tree, ec_of_clique_tree
-from .elimination import ORDERING_FUNCTIONS, elimination_complexity
+from .elimination import ORDERING_FUNCTIONS, elimination_complexity, elimination_tree
 from .graph import FactorGraph, ParseError
 from .oracle import cholesky_count, synthesize_system
 from .pruning import (
@@ -177,8 +178,10 @@ def _measure(
 ) -> ReportRow:
     """One report row: `g` ordered, its two costs, and the oracle's count."""
     ordering = ORDERING_FUNCTIONS[spec.ordering](g)
-    ec = elimination_complexity(g, ordering)
-    ec_bt = ec_of_clique_tree(build_clique_tree(g, ordering))
+    tree = elimination_tree(g, ordering)
+    ec = elimination_complexity(g, ordering, tree=tree)
+    ec_bt = ec_of_clique_tree(build_clique_tree(g, ordering, tree=tree))
+    del tree  # free the separator sets before the oracle allocates its fronts
     oracle_mult = None
     if spec.oracle:
         system = synthesize_system(g, seed=0)

@@ -188,10 +188,12 @@ def prune_tgreedy(
     steps = min(budget - len(floor), len(candidates))
     if steps:
         cu, cv = np.array([(frame_index[f], lm_index[lm]) for f, lm in candidates]).T
+        # flat indices of M[u, u], M[v, v] and M[u, v] in the raveled inverse
+        uu, vv, uv = cu * (n + 1), cv * (n + 1), cu * n + cv
+        outer = np.empty((n, n))
 
         def gains_of(minv: np.ndarray) -> np.ndarray:
-            diag = np.diag(minv)
-            return diag[cu] + diag[cv] - 2.0 * minv[cu, cv]
+            return minv.take(uu) + minv.take(vv) - 2.0 * minv.take(uv)
 
         alive = np.ones(len(candidates), dtype=bool)
         minv = inverse()
@@ -215,7 +217,9 @@ def prune_tgreedy(
             u, v = cu[best], cv[best]
             add_edge(u, v)
             w = minv[:, u] - minv[:, v]
-            minv -= np.outer(w, w) / (1.0 + q)
+            np.multiply.outer(w, w, out=outer)
+            outer /= 1.0 + q
+            minv -= outer
             since_refresh += 1
             if since_refresh >= _REFRESH_EVERY:
                 minv = inverse()

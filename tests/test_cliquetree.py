@@ -9,9 +9,18 @@ from graphelim.cliquetree import (
     ec_of_clique_tree,
     format_clique_tree,
 )
-from graphelim.elimination import elimination_complexity, min_degree_ordering
+from graphelim.elimination import (
+    elimination_complexity,
+    elimination_tree,
+    min_degree_ordering,
+)
 from graphelim.graph import FactorGraph, Kind
-from graphelim.simulate import worst_case_graph
+from graphelim.simulate import (
+    build_graph,
+    default_config,
+    simulate_trajectory,
+    worst_case_graph,
+)
 
 from helpers import (
     ReferenceGraph,
@@ -20,6 +29,7 @@ from helpers import (
     random_graph_and_ordering,
     random_ordering,
     reference_clique_tree,
+    reference_simulate_elimination,
     running_intersection_holds,
 )
 
@@ -127,7 +137,50 @@ def test_empty_graph_gives_empty_tree():
 @given(st.randoms(use_true_random=False))
 def test_matches_fill_simulation_reference(rng):
     g, order = random_graph_and_ordering(rng)
+    tree = elimination_tree(g, order)
     for amalgamate in (True, False):
-        assert build_clique_tree(g, order, amalgamate) == reference_clique_tree(
-            g, order, amalgamate
+        expect = reference_clique_tree(g, order, amalgamate)
+        assert build_clique_tree(g, order, amalgamate) == expect
+        assert build_clique_tree(g, order, amalgamate, tree=tree) == expect
+
+
+# -- both costs from one elimination tree ---------------------------------------
+
+
+def shared_tree_costs(g, order):
+    """`ec_block` and `ec_bt` from one tree, as a report row computes them."""
+    tree = elimination_tree(g, order)
+    return (
+        elimination_complexity(g, order, tree=tree),
+        ec_of_clique_tree(build_clique_tree(g, order, tree=tree)),
+    )
+
+
+def reference_costs(g, order):
+    """Both costs read off the pairwise fill simulation."""
+    steps = reference_simulate_elimination(g, order).steps
+    ec = sum(s.frontal_dim * (s.frontal_dim + s.separator_dim) ** 2 for s in steps)
+    return ec, ec_of_clique_tree(reference_clique_tree(g, order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_shared_tree_costs_equal_separate_and_reference_costs(rng):
+    g, order = random_graph_and_ordering(rng)
+    ec, ec_bt = shared_tree_costs(g, order)
+    assert ec == elimination_complexity(g, order)
+    assert ec_bt == ec_of_clique_tree(build_clique_tree(g, order))
+    assert (ec, ec_bt) == reference_costs(g, order)
+
+
+def test_shared_tree_costs_on_desk_final_frames_and_worst_cases():
+    graphs = [worst_case_graph(120, 240), worst_case_graph(300, 600)]
+    for seed in (1, 2, 3):
+        cfg = default_config(seed=seed)
+        log = simulate_trajectory(cfg)
+        graphs.append(
+            build_graph(log, cfg.d_x, cfg.d_l, min_obs_to_init=cfg.min_obs_to_init)
         )
+    for g in graphs:
+        order = min_degree_ordering(g)
+        assert shared_tree_costs(g, order) == reference_costs(g, order)

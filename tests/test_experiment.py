@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from graphelim import cliquetree, elimination, experiment
 from graphelim.cliquetree import build_clique_tree, ec_of_clique_tree
 from graphelim.elimination import elimination_complexity, min_degree_ordering
 from graphelim.experiment import (
@@ -139,6 +140,22 @@ def test_rows_rederivable_from_library():
     assert target.n_factors == len(g.factors)
     assert target.ec_block == elimination_complexity(g, order)
     assert target.ec_bt == ec_of_clique_tree(build_clique_tree(g, order))
+
+
+def test_each_row_builds_one_elimination_tree(monkeypatch):
+    calls = []
+    real = elimination.elimination_tree
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n_vars)
+        return real(*args, **kwargs)
+
+    for module in (elimination, cliquetree, experiment):
+        monkeypatch.setattr(module, "elimination_tree", counting)
+    rows = run_experiment(tiny_spec(policies=("full", "rand", "tgreedy", "kf", "dec")))
+    measured = [r.n_vars for r in rows if not r.policy.startswith("pred_")]
+    assert len(measured) > 20
+    assert sorted(calls) == sorted(measured)
 
 
 def test_overlay_rows_present_and_scaled():
