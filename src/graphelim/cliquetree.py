@@ -1,16 +1,17 @@
 """Multifrontal clique trees built from the elimination tree.
 
-Each variable's elimination clique is {var} union its separator, read off
-`elimination_tree`. Consecutive variables amalgamate into one supernode
-(strict / fundamental supernodes, Liu, Ng and Peyton 1993; no relaxed
-amalgamation) when the later variable w has exactly one child in the
-elimination tree, that child is the variable `prev` eliminated just
-before it, and |sep(prev)| = |sep(w)| + 1. The size test is exact: when
-w is prev's parent, sep(prev) - {w} is a subset of sep(w), so the sizes
-agree iff sep(prev) = {w} union sep(w), and no set is compared or built.
-The per-clique cost sum d_f(C) * (d_f(C) + d_s(C))^2 is the clique-tree
-analogue of the per-variable elimination cost; a caller that needs both
-builds the elimination tree once and passes it to each.
+Each variable's elimination clique is {var} union its separator; both the
+separator and its summed dims d_s are read off `elimination_tree`, and a
+clique takes those of its last variable. Consecutive variables amalgamate
+into one supernode (strict / fundamental supernodes, Liu, Ng and Peyton
+1993; no relaxed amalgamation) when the later variable w has exactly one
+child in the elimination tree, that child is the variable `prev`
+eliminated just before it, and |sep(prev)| = |sep(w)| + 1. The size test
+is exact: when w is prev's parent, sep(prev) - {w} is a subset of sep(w),
+so the sizes agree iff sep(prev) = {w} union sep(w), and no set is
+compared or built. The per-clique cost sum d_f(C) * (d_f(C) + d_s(C))^2 is
+the clique-tree analogue of the per-variable elimination cost; a caller
+that needs both builds the elimination tree once and passes it to each.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def build_clique_tree(
     per-variable elimination cost exactly. `tree` is
     `elimination_tree(graph, ordering)` when the caller already has it.
     """
-    parent, sep = elimination_tree(graph, ordering) if tree is None else tree
+    parent, sep, sep_dim = elimination_tree(graph, ordering) if tree is None else tree
     dims = graph.dims
     etree_children = Counter(parent)
 
@@ -95,7 +96,7 @@ def build_clique_tree(
                 frontal=tuple(run),
                 separator=sep[run[-1]],
                 frontal_dim=sum(dims[v] for v in run),
-                separator_dim=sum(map(dims.__getitem__, sep[run[-1]])),
+                separator_dim=sep_dim[run[-1]],
                 parent=parents[ci],
                 children=tuple(children[ci]),
             )

@@ -12,11 +12,12 @@ in the elimination graph at that step. This is an ordering-dependent,
 values-independent proxy for the FLOPs of the matching sparse
 factorization.
 
-The cost needs only separators, which `elimination_tree` gives in one
-pass. Explicit fill runs only where it is the product: the
-`simulate_elimination` trace, and `min_degree_ordering`, which keeps it
-over supervariables (groups of variables with equal closed
-neighborhoods) and reads each variable's exact degree off its group.
+The cost needs only each d_s, which `elimination_tree` sums as it builds
+each separator, once for the cost, the clique tree and the scalar count.
+Explicit fill runs only where it is the product: the `simulate_elimination`
+trace, and `min_degree_ordering`, which keeps it over supervariables
+(groups of variables with equal closed neighborhoods) and reads each
+variable's exact degree off its group.
 """
 
 from __future__ import annotations
@@ -89,29 +90,31 @@ def simulate_elimination(
     return EliminationTrace(tuple(steps))
 
 
-# per variable id: elimination-tree parent (None at a root) and separator
-EliminationTree = tuple[list[int | None], list[frozenset[int]]]
+# per variable id: tree parent (None at a root), separator, summed separator dims
+EliminationTree = tuple[list[int | None], list[frozenset[int]], list[int]]
 
 
 def elimination_tree(graph: FactorGraph, ordering: Sequence[int]) -> EliminationTree:
-    """Elimination-tree parent and separator of every variable under `ordering`.
+    """Elimination-tree parent, separator and separator dim of every variable.
 
     One pass in elimination order: v's separator is its higher-ordered
     neighbors joined with its children's separators, minus v itself (Liu
-    1990), and v's parent is the separator member eliminated earliest.
-    Both lists are indexed by variable id; a root's parent is None. The
-    higher-ordered neighbors are one intersection with the variables not
-    yet eliminated. The union of v's children's separators becomes v's
-    own set, which becomes or joins its parent's union in turn, so the
-    only copy of a separator is the frozen one returned.
+    1990), its separator dim d_s is that set's summed dims, and v's parent is
+    the separator member eliminated earliest (None at a root). The
+    higher-ordered neighbors are one intersection with the variables not yet
+    eliminated. The union of v's children's separators becomes v's own set,
+    which becomes or joins its parent's union in turn, so the only copy of a
+    separator is the frozen one returned.
     """
     _check_ordering(graph, ordering)
     pos = {v: i for i, v in enumerate(ordering)}
     alive = set(range(graph.n_vars))
+    dims = graph.dims
     # union of the separators of each not yet eliminated variable's children
     below: dict[int, set[int]] = {}
     parent: list[int | None] = [None] * graph.n_vars
     separator: list[frozenset[int]] = [frozenset()] * graph.n_vars
+    separator_dim = [0] * graph.n_vars
     for v in ordering:
         alive.discard(v)
         sep = below.pop(v, set())
@@ -119,11 +122,12 @@ def elimination_tree(graph: FactorGraph, ordering: Sequence[int]) -> Elimination
         sep |= alive.intersection(graph.neighbors(v))
         if sep:
             separator[v] = frozenset(sep)
+            separator_dim[v] = sum(map(dims.__getitem__, sep))
             p = parent[v] = ordering[min(map(pos.__getitem__, sep))]
             acc = below.setdefault(p, sep)
             if acc is not sep:
                 acc |= sep
-    return parent, separator
+    return parent, separator, separator_dim
 
 
 def elimination_complexity(
@@ -134,11 +138,8 @@ def elimination_complexity(
     `tree` is `elimination_tree(graph, ordering)` when the caller already
     has it; without it the tree is built here.
     """
-    dims = graph.dims
-    _, separator = elimination_tree(graph, ordering) if tree is None else tree
-    return sum(
-        d * (d + sum(map(dims.__getitem__, s))) ** 2 for d, s in zip(dims, separator)
-    )
+    *_, separator_dim = elimination_tree(graph, ordering) if tree is None else tree
+    return sum(d * (d + s) ** 2 for d, s in zip(graph.dims, separator_dim))
 
 
 def scalar_mult_count(graph: FactorGraph, ordering: Sequence[int]) -> int:
@@ -150,8 +151,8 @@ def scalar_mult_count(graph: FactorGraph, ordering: Sequence[int]) -> int:
     """
     if any(d != 1 for d in graph.dims):
         raise ValueError("scalar_mult_count requires all variables to have dim 1")
-    _, separator = elimination_tree(graph, ordering)
-    return sum(len(s) * (len(s) + 3) for s in separator) // 2
+    *_, separator_dim = elimination_tree(graph, ordering)
+    return sum(d * (d + 3) for d in separator_dim) // 2
 
 
 def min_degree_ordering(graph: FactorGraph) -> list[int]:

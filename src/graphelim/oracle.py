@@ -16,6 +16,7 @@ is named by the scalar loop on the pivot block LAPACK refused. The fronts'
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,11 +37,14 @@ class SparseSystem:
     values: np.ndarray  # (n, n) float64, zero off-pattern
     pattern: np.ndarray  # (n, n) bool
     var_dims: tuple[int, ...]
-    var_offsets: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def var_offsets(self) -> tuple[int, ...]:
+        return tuple(itertools.accumulate(self.var_dims, initial=0))[:-1]
 
 
 @dataclass(frozen=True)
@@ -71,16 +75,11 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
     if graph.n_vars == 0:
         raise ValueError("cannot synthesize a system for an empty graph")
     dims = graph.dims
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    n = offsets[-1]
-
-    owner = np.repeat(np.arange(graph.n_vars), dims)
     adjacent = np.eye(graph.n_vars, dtype=bool)
     for v in range(graph.n_vars):
         adjacent[v, list(graph.neighbors(v))] = True
-    pattern = adjacent[np.ix_(owner, owner)]
+    pattern = adjacent.repeat(dims, 0).repeat(dims, 1)
+    n = pattern.shape[0]
 
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, size=(n, n))
@@ -93,7 +92,7 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
         values[i + 1:, i] = upper
         values[i, i] = 0.0
         values[i, i] = np.abs(values[i]).sum() + 1.0
-    return SparseSystem(values, pattern, tuple(dims), tuple(offsets[:-1]))
+    return SparseSystem(values, pattern, tuple(dims))
 
 
 def scalar_permutation(system: SparseSystem, ordering: Sequence[int]) -> np.ndarray:
@@ -105,10 +104,9 @@ def scalar_permutation(system: SparseSystem, ordering: Sequence[int]) -> np.ndar
     n_vars = len(system.var_dims)
     order = list(ordering)
     if len(order) == n_vars and sorted(order) == list(range(n_vars)):
-        out: list[int] = []
+        starts, out = system.var_offsets, []
         for v in order:
-            start = system.var_offsets[v]
-            out.extend(range(start, start + system.var_dims[v]))
+            out.extend(range(starts[v], starts[v] + system.var_dims[v]))
         return np.array(out, dtype=np.intp)
     if len(order) == system.n and sorted(order) == list(range(system.n)):
         return np.array(order, dtype=np.intp)

@@ -167,6 +167,9 @@ def reference_costs(g, order):
 @given(st.randoms(use_true_random=False))
 def test_shared_tree_costs_equal_separate_and_reference_costs(rng):
     g, order = random_graph_and_ordering(rng)
+    _, separator, separator_dim = elimination_tree(g, order)
+    for v in range(g.n_vars):
+        assert separator_dim[v] == sum(g.dims[u] for u in separator[v])
     ec, ec_bt = shared_tree_costs(g, order)
     assert ec == elimination_complexity(g, order)
     assert ec_bt == ec_of_clique_tree(build_clique_tree(g, order))

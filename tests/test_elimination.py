@@ -131,8 +131,9 @@ def test_kernels_equal_pairwise_reference_on_desk_and_worst_case():
 
 
 def test_elimination_tree_path_middle_first():
-    parent, separator = elimination_tree(path_graph(3), [1, 0, 2])
+    parent, separator, separator_dim = elimination_tree(path_graph(3), [1, 0, 2])
     assert separator == [frozenset({2}), frozenset({0, 2}), frozenset()]
+    assert separator_dim == [1, 2, 0]
     assert parent == [2, 0, None]
 
 
@@ -140,7 +141,7 @@ def test_elimination_tree_path_middle_first():
 @given(st.randoms(use_true_random=False))
 def test_elimination_tree_separators_match_fill_simulation(rng):
     g, order = random_graph_and_ordering(rng)
-    _, separator = elimination_tree(g, order)
+    _, separator, _ = elimination_tree(g, order)
     for step in simulate_elimination(g, order).steps:
         assert separator[step.var_id] == step.separator
 
@@ -149,7 +150,7 @@ def test_elimination_tree_separators_match_fill_simulation(rng):
 @given(st.randoms(use_true_random=False))
 def test_elimination_tree_parent_is_earliest_separator_member(rng):
     g, order = random_graph_and_ordering(rng)
-    parent, separator = elimination_tree(g, order)
+    parent, separator, _ = elimination_tree(g, order)
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
         if separator[v]:
@@ -163,7 +164,7 @@ def test_filled_graph_is_chordal_and_ordering_is_perfect():
     rng = random.Random(41)
     for _ in range(100):
         g, order = random_graph_and_ordering(rng)
-        _, separator = elimination_tree(g, order)
+        _, separator, _ = elimination_tree(g, order)
         filled = nx.Graph()
         filled.add_nodes_from(range(g.n_vars))
         filled.add_edges_from((u, w) for u in range(g.n_vars) for w in g.neighbors(u))

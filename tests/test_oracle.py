@@ -177,7 +177,7 @@ def test_non_spd_names_pivot():
     system = synthesize_system(path_graph(3), seed=0)
     broken = system.values.copy()
     broken[1, 1] = -5.0
-    bad = type(system)(broken, system.pattern, system.var_dims, system.var_offsets)
+    bad = type(system)(broken, system.pattern, system.var_dims)
     with pytest.raises(NotPositiveDefiniteError) as err:
         cholesky_count(bad, [0, 1, 2])
     assert "index 1" in str(err.value)
@@ -188,7 +188,7 @@ def test_pattern_without_block_structure_rejected():
     pattern = np.eye(3, dtype=bool)
     pattern[0, 1] = pattern[1, 0] = pattern[1, 2] = pattern[2, 1] = True
     values = np.where(pattern, 0.5, 0.0) + 2.0 * np.eye(3)
-    system = SparseSystem(values, pattern, (2, 1), (0, 2))
+    system = SparseSystem(values, pattern, (2, 1))
     with pytest.raises(ValueError, match="block-structured at pivot 0"):
         cholesky_count(system, [0, 1])
     reference_cholesky_count(system, [0, 1])  # the scalar loop takes any pattern
@@ -200,7 +200,7 @@ def test_split_variable_in_update_rejected():
     pattern = np.eye(3, dtype=bool)
     pattern[0, 1] = pattern[1, 0] = pattern[1, 2] = pattern[2, 1] = True
     values = np.where(pattern, 0.5, 0.0) + 2.0 * np.eye(3)
-    system = SparseSystem(values, pattern, (1, 2), (0, 1))
+    system = SparseSystem(values, pattern, (1, 2))
     with pytest.raises(ValueError, match="block-structured at pivot 1"):
         cholesky_count(system, [0, 1])
     reference_cholesky_count(system, [0, 1])
@@ -242,7 +242,7 @@ def test_toggled_pattern_rejected_or_exact(rng):
     for _ in range(rng.randint(1, 3)):
         i, j = rng.sample(range(system.n), 2)
         pattern[i, j] = pattern[j, i] = not pattern[i, j]
-    toggled = SparseSystem(system.values, pattern, system.var_dims, system.var_offsets)
+    toggled = SparseSystem(system.values, pattern, system.var_dims)
     try:
         got = cholesky_count(toggled, order)
     except ValueError as err:
@@ -285,7 +285,7 @@ def test_blocked_kernel_fails_at_reference_index(rng):
     broken = system.values.copy()
     i = rng.randrange(system.n)
     broken[i, i] = -rng.uniform(0.0, 2.0)
-    bad = type(system)(broken, system.pattern, system.var_dims, system.var_offsets)
+    bad = type(system)(broken, system.pattern, system.var_dims)
     with pytest.raises(NotPositiveDefiniteError) as got:
         cholesky_count(bad, order)
     with pytest.raises(NotPositiveDefiniteError) as ref:
@@ -318,7 +318,7 @@ def test_failing_pivot_inside_merged_front_matches_reference(
     assert count.scalar_order[position] == i
     broken = system.values.copy()
     broken[i, i] = -0.5
-    bad = SparseSystem(broken, system.pattern, system.var_dims, system.var_offsets)
+    bad = SparseSystem(broken, system.pattern, system.var_dims)
     with pytest.raises(NotPositiveDefiniteError) as got:
         cholesky_count(bad, order)
     with pytest.raises(NotPositiveDefiniteError) as ref:
