@@ -173,6 +173,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         (out / "manifest.json").write_text(
             json.dumps({"worst_case": asdict(params)}, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
+            newline="\n",
         )
         print(f"wrote worst-case dataset ({graph!r}) to {out}")
     else:
@@ -180,7 +181,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         log = simulate_trajectory(cfg)
         save_log(log, out / "dataset.log")
-        (out / "manifest.json").write_text(config_to_json(cfg), encoding="utf-8")
+        (out / "manifest.json").write_text(config_to_json(cfg), encoding="utf-8", newline="\n")
         print(
             f"wrote simulated dataset ({len(log.frames)} frames,"
             f" {log.total_observations()} observations) to {out}"
@@ -223,7 +224,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    (out / "spec.json").write_text(exp.spec_to_json(spec), encoding="utf-8")
+    (out / "spec.json").write_text(exp.spec_to_json(spec), encoding="utf-8", newline="\n")
     rows = exp.run_experiment(spec)
     exp.write_report_csv(rows, out / "report.csv")
     print(f"wrote {len(rows)} rows to {out / 'report.csv'}")

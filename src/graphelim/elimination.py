@@ -187,7 +187,6 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
     size, tags = list(dims), list(tag)
     weight = [dims[v] + sum(map(dims.__getitem__, adj[v])) for v in range(n)]
     closure = [tag[v] + sum(map(tag.__getitem__, adj[v])) for v in range(n)]
-    clique = [False] * n  # the closed neighborhood is known to be a clique
     group = list(range(n))  # of each alive variable; -1 once eliminated
 
     def member_key(v: int) -> tuple[int, int, int]:
@@ -221,23 +220,19 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
         order.append(v)
         size[s] -= dims[v]
         tags[s] -= tag[v]
-        nbrs, gone, filled = adj[s], not members[s], False
+        nbrs, gone = adj[s], not members[s]
         for t in nbrs:
             at = adj[t]
             if gone:
                 at.discard(s)
             weight[t] -= dims[v]
             closure[t] -= tag[v]
-            if clique[s]:
-                continue
             new = nbrs - at
             new.discard(t)
             if new:
                 at |= new
                 weight[t] += sum(map(size.__getitem__, new))
                 closure[t] += sum(map(tags.__getitem__, new))
-                clique[t] = False
-                filled = True
         touched = list(nbrs)
         if gone:
             adj[s] = set()
@@ -245,12 +240,10 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
             touched.append(s)
             weight[s] -= dims[v]
             closure[s] -= tag[v]
-            clique[s] = True
         for t in touched:
             u = members[t][-1]
             heapq.heappush(heap, (weight[t] - dims[u], kind_rank[u], u))
-        if filled:  # without fill every closure lost the same v: no new twins
-            merge_twins(touched)
+        merge_twins(touched)
     return order
 
 

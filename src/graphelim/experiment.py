@@ -60,9 +60,6 @@ class WorstCaseParams:
     d_l: int = DEFAULT_LANDMARK_DIM
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         for name, low in (("n_x", 1), ("n_l", 0), ("d_x", 1), ("d_l", 1)):
             check_int(f"worst_case.{name}", getattr(self, name), low)
 
@@ -86,9 +83,6 @@ class ExperimentSpec:
     frame_stride: int = 1
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if (self.sim is None) == (self.worst_case is None):
             raise ValueError("spec needs exactly one of sim / worst_case")
         for name in ("policies", "rates", "seeds"):

@@ -38,6 +38,14 @@ class SparseSystem:
     pattern: np.ndarray  # (n, n) bool
     var_dims: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        n = sum(self.var_dims)
+        if self.values.shape != (n, n) or self.pattern.shape != (n, n):
+            raise ValueError(
+                f"var_dims sum to {n}, but values are {self.values.shape}"
+                f" and pattern is {self.pattern.shape}"
+            )
+
     @property
     def n(self) -> int:
         return self.values.shape[0]

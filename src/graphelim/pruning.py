@@ -37,16 +37,12 @@ _REFRESH_EVERY = 64
 @dataclass(frozen=True)
 class PruneResult:
     log: ObservationLog
-    policy: str
-    rate: int
     retained: int
-    removed: int
 
 
-def _result(policy, rate, original, frames):
-    log = ObservationLog(tuple(frames), original.n_landmarks)
-    kept = log.total_observations()
-    return PruneResult(log, policy, rate, kept, original.total_observations() - kept)
+def _result(frames) -> PruneResult:
+    log = ObservationLog(tuple(frames))
+    return PruneResult(log, log.total_observations())
 
 
 def _check_rate(r: int) -> None:
@@ -94,14 +90,14 @@ def prune_decimate(
         )
         for f in log.frames
     ]
-    return _result("dec", r, log, frames)
+    return _result(frames)
 
 
 def prune_keyframe(log: ObservationLog, r: int) -> PruneResult:
     """Keep frames with index divisible by r; drop everything else."""
     _check_rate(r)
     frames = [f for f in log.frames if f.index % r == 0]
-    return _result("kf", r, log, frames)
+    return _result(frames)
 
 
 def _count_matched(log: ObservationLog, r: int) -> tuple[int, set, list]:
@@ -115,13 +111,13 @@ def _count_matched(log: ObservationLog, r: int) -> tuple[int, set, list]:
     return target, floor, rest
 
 
-def _keep(policy: str, r: int, log: ObservationLog, keep) -> PruneResult:
+def _keep(log: ObservationLog, keep) -> PruneResult:
     """`log` with only the observations in `keep`, every frame retained."""
     frames = [
         Frame(f.index, tuple(lm for lm in f.observations if (f.index, lm) in keep))
         for f in log.frames
     ]
-    return _result(policy, r, log, frames)
+    return _result(frames)
 
 
 def prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneResult:
@@ -137,7 +133,7 @@ def prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneResult:
         raise ValueError("decimation budget below one observation per landmark")
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(rest), size=extra, replace=False) if extra else []
-    return _keep("rand", r, log, floor | {rest[i] for i in picked})
+    return _keep(log, floor | {rest[i] for i in picked})
 
 
 def prune_tgreedy(
@@ -224,14 +220,14 @@ def prune_tgreedy(
             if since_refresh >= _REFRESH_EVERY:
                 minv = inverse()
                 since_refresh = 0
-    return _keep("tgreedy", r, log, selected)
+    return _keep(log, selected)
 
 
 def apply_policy(
     log: ObservationLog, policy: str, rate: int, seed: int = 0
 ) -> PruneResult:
     if policy == "full":
-        return PruneResult(log, "full", 1, log.total_observations(), 0)
+        return PruneResult(log, log.total_observations())
     if policy == "rand":
         return prune_random(log, rate, seed)
     if policy == "tgreedy":

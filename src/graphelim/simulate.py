@@ -51,6 +51,13 @@ class Visibility:
     field_of_view: float  # radians, centered on the heading
 
 
+# an infinite range or field of view lifts that limit; an infinite wavelength
+# drives a straight line
+_MAY_BE_INFINITE = {
+    ("trajectory", "wavelength"), ("visibility", "max_range"), ("visibility", "field_of_view")
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     n_frames: int
@@ -64,9 +71,6 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         check_int("n_frames", self.n_frames, 2)
         check_int("min_obs_to_init", self.min_obs_to_init, 2)
         check_int("landmark_count", self.landmark_count, 0)
@@ -75,8 +79,11 @@ class SimConfig:
         check_int("seed", self.seed, 0)
         for part in ("trajectory", "landmark_region", "visibility"):
             for key, value in asdict(getattr(self, part)).items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                number = isinstance(value, (int, float)) and not isinstance(value, bool)
+                if not number or math.isnan(value):
                     raise ValueError(f"{part}.{key} must be a number, got {value!r}")
+                if math.isinf(value) and (part, key) not in _MAY_BE_INFINITE:
+                    raise ValueError(f"{part}.{key} must be finite, got {value!r}")
         if self.landmark_region.area() <= 0:
             raise ValueError("landmark_region must have positive area")
         if self.trajectory.step <= 0 or self.trajectory.wavelength <= 0:
@@ -143,7 +150,6 @@ class Frame:
 @dataclass(frozen=True)
 class ObservationLog:
     frames: tuple[Frame, ...]
-    n_landmarks: int
 
     def first_seen(self) -> dict[int, int]:
         """Frame index of the first observation of each observed landmark."""
@@ -162,10 +168,7 @@ class ObservationLog:
 
     def prefix(self, upto_frame: int) -> "ObservationLog":
         """Frames with index <= `upto_frame` (for incremental cost curves)."""
-        return ObservationLog(
-            tuple(f for f in self.frames if f.index <= upto_frame),
-            self.n_landmarks,
-        )
+        return ObservationLog(tuple(f for f in self.frames if f.index <= upto_frame))
 
 
 # -- generators --------------------------------------------------------------
@@ -194,9 +197,7 @@ def worst_case_graph(
 def worst_case_log(n_frames: int, n_landmarks: int) -> ObservationLog:
     """Observation log in which every frame observes every landmark."""
     all_lms = tuple(range(n_landmarks))
-    return ObservationLog(
-        tuple(Frame(i, all_lms) for i in range(n_frames)), n_landmarks
-    )
+    return ObservationLog(tuple(Frame(i, all_lms) for i in range(n_frames)))
 
 
 def simulate_trajectory(config: SimConfig) -> ObservationLog:
@@ -234,7 +235,7 @@ def simulate_trajectory(config: SimConfig) -> ObservationLog:
             if abs(math.remainder(bearing - heading, math.tau)) <= half_fov:
                 visible.append(lm_id)
         frames.append(Frame(i, tuple(visible)))
-    return ObservationLog(tuple(frames), config.landmark_count)
+    return ObservationLog(tuple(frames))
 
 
 def build_graph(
@@ -288,13 +289,10 @@ def save_log(log: ObservationLog, path: str | Path) -> None:
     Path(path).write_text(log_to_text(log), encoding="utf-8", newline="\n")
 
 
-def log_from_text(
-    text: str, source: str = "<string>", n_landmarks: int | None = None
-) -> ObservationLog:
+def log_from_text(text: str, source: str = "<string>") -> ObservationLog:
     frames: list[Frame] = []
     cur_idx: int | None = None
     cur_obs: dict[int, None] = {}  # insertion-ordered set of the frame's landmarks
-    max_lm = -1
 
     def flush() -> None:
         if cur_idx is not None:
@@ -322,15 +320,12 @@ def log_from_text(
                 if lm in cur_obs:
                     raise ValueError(f"landmark {lm} repeated in frame {cur_idx}")
                 cur_obs[lm] = None
-                max_lm = max(max_lm, lm)
             else:
                 raise ValueError(f"unknown record {line!r}")
         except ValueError as exc:
             raise ParseError(source, line_no, str(exc)) from None
     flush()
-    return ObservationLog(
-        tuple(frames), n_landmarks if n_landmarks is not None else max_lm + 1
-    )
+    return ObservationLog(tuple(frames))
 
 
 def config_to_json(config: SimConfig) -> str:

@@ -459,7 +459,7 @@ def reference_prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneR
         Frame(f.index, tuple(lm for lm in f.observations if (f.index, lm) in keep))
         for f in log.frames
     ]
-    return _result("rand", r, log, frames)
+    return _result(frames)
 
 
 def reference_prune_tgreedy(
@@ -561,7 +561,7 @@ def reference_prune_tgreedy(
         )
         for f in log.frames
     ]
-    return _result("tgreedy", r, log, frames)
+    return _result(frames)
 
 
 def reference_eliminate(

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -177,6 +178,12 @@ def test_bad_experiment_arguments_exit_one(tmp_path, args, field):
         (("--worst-case", "3", "2", "--d-l", "0"), "worst_case.d_l"),
         (("--frames", "1"), "n_frames"),
         (("--min-obs", "1"), "min_obs_to_init"),
+        (("--step-size", "nan"), "trajectory.step"),
+        (("--region", "0", "10", "0", "inf"), "landmark_region.y_max"),
+        (("--amplitude", "nan"), "trajectory.amplitude"),
+        (("--fov-deg", "nan"), "visibility.field_of_view"),
+        (("--amplitude", "inf"), "trajectory.amplitude"),
+        (("--step-size", "inf"), "trajectory.step"),
     ],
 )
 def test_bad_gen_arguments_exit_one(tmp_path, args, field):
@@ -208,11 +215,12 @@ def test_manifest_with_non_numeric_field_exits_one(tmp_path):
     data = tmp_path / "data"
     assert run_cli("gen", "--frames", "20", "--landmarks", "10", "--out", str(data)).returncode == 0
     manifest = json.loads((data / "manifest.json").read_text())
-    manifest["trajectory"]["amplitude"] = "x"
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    proc = run_cli("experiment", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "x"))
-    assert proc.returncode == 1, proc.stderr
-    assert "amplitude" in proc.stderr
+    for value in ("x", math.nan):
+        manifest["trajectory"]["amplitude"] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        proc = run_cli("experiment", "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 1, proc.stderr
+        assert "trajectory.amplitude" in proc.stderr
 
 
 @pytest.mark.parametrize("key", ["n_frame", "sed"])

@@ -50,13 +50,13 @@ def tiny_spec(**overrides):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ExperimentSpec().validate()
+        ExperimentSpec()
     with pytest.raises(ValueError):
-        tiny_spec(policies=("bogus",)).validate()
+        tiny_spec(policies=("bogus",))
     with pytest.raises(ValueError):
-        tiny_spec(rates=()).validate()
+        tiny_spec(rates=())
     with pytest.raises(ValueError):
-        tiny_spec(ordering="alphabetical").validate()
+        tiny_spec(ordering="alphabetical")
 
 
 @pytest.mark.parametrize(

@@ -50,7 +50,7 @@ def contract_logs(draw):
         lms = draw(st.lists(st.integers(0, 9), max_size=6, unique=True))
         frames.append(Frame(index, tuple(lms)))
         index += draw(st.integers(1, 4))
-    return ObservationLog(tuple(frames), 10)
+    return ObservationLog(tuple(frames))
 
 
 def _insert(text: str, at: int, line: str) -> tuple[str, int]:
@@ -100,7 +100,7 @@ def test_graph_text_parse_error_names_line(rng, at, bad):
 @settings(max_examples=200, deadline=None)
 @given(log=contract_logs())
 def test_log_text_roundtrip(log):
-    assert log_from_text(log_to_text(log), n_landmarks=log.n_landmarks) == log
+    assert log_from_text(log_to_text(log)) == log
 
 
 @settings(max_examples=200, deadline=None)

@@ -206,6 +206,12 @@ def test_split_variable_in_update_rejected():
     reference_cholesky_count(system, [0, 1])
 
 
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
+def test_system_dims_must_match_matrix(dims):
+    with pytest.raises(ValueError, match=rf"var_dims sum to {sum(dims)}, but values are \(3, 3\)"):
+        SparseSystem(2 * np.eye(3), np.eye(3, dtype=bool), dims)
+
+
 def _random_system_and_ordering(rng):
     g, block_order = random_graph_and_ordering(rng)
     system = synthesize_system(g, seed=rng.randrange(2**32))

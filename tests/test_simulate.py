@@ -116,9 +116,14 @@ def test_degenerate_region_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        small_config(n_frames=1).validate()
+        small_config(n_frames=1)
     with pytest.raises(ValueError):
-        small_config(min_obs_to_init=1).validate()
+        small_config(min_obs_to_init=1)
+    with pytest.raises(ValueError, match="trajectory.wavelength must be a number"):
+        small_config(trajectory=Trajectory(3.0, math.nan, 1.0))
+    with pytest.raises(ValueError, match="landmark_region.x_min must be finite"):
+        small_config(landmark_region=Region(-math.inf, 40.0, -8.0, 8.0))
+    small_config(trajectory=Trajectory(3.0, math.inf, 1.0))  # a straight line
 
 
 # -- build_graph ------------------------------------------------------------
@@ -152,7 +157,7 @@ def observation_logs(draw):
     for _ in range(draw(st.integers(0, 8))):
         frames.append(Frame(index, tuple(draw(st.lists(st.integers(0, 5), max_size=6)))))
         index += draw(st.integers(1, 3))
-    return ObservationLog(tuple(frames), 6)
+    return ObservationLog(tuple(frames))
 
 
 @settings(max_examples=300, deadline=None)
@@ -168,7 +173,7 @@ def test_build_graph_matches_reference(log, policy, rate, seed, min_obs, dims):
     sources = [log]
     if log.frames:  # the policies take logs that meet the log text contract
         once = [Frame(f.index, tuple(dict.fromkeys(f.observations))) for f in log.frames]
-        sources.append(apply_policy(ObservationLog(tuple(once), 6), policy, rate, seed).log)
+        sources.append(apply_policy(ObservationLog(tuple(once)), policy, rate, seed).log)
     for source in sources:
         got = build_graph(source, *dims, min_obs_to_init=min_obs)
         want = reference_build_graph(source, *dims, min_obs_to_init=min_obs)
@@ -178,7 +183,7 @@ def test_build_graph_matches_reference(log, policy, rate, seed, min_obs, dims):
 
 def test_landmark_below_threshold_is_absent():
     frames = (Frame(0, (0, 1)), Frame(1, (0,)), Frame(2, (0,)))
-    g = build_graph(ObservationLog(frames, 2), d_x=2, d_l=1, min_obs_to_init=2)
+    g = build_graph(ObservationLog(frames), d_x=2, d_l=1, min_obs_to_init=2)
     # landmark 1 was seen once; only landmark 0 may enter
     assert g.n_landmarks == 1
     assert g.n_poses == 3
@@ -186,7 +191,7 @@ def test_landmark_below_threshold_is_absent():
 
 def test_keyframe_subset_chains_odometry():
     frames = (Frame(0, ()), Frame(3, ()), Frame(6, ()))
-    g = build_graph(ObservationLog(frames, 0))
+    g = build_graph(ObservationLog(frames))
     assert g.n_poses == 3
     assert sorted(f.vars for f in g.factors) == [(0, 1), (1, 2)]
 
@@ -214,9 +219,10 @@ def test_realized_cost_bounded_by_worst_case():
 
 
 def test_log_roundtrip():
-    cfg = small_config()
-    log = simulate_trajectory(cfg)
-    assert log_from_text(log_to_text(log), n_landmarks=cfg.landmark_count) == log
+    # the short-range sensor never sees landmark 24, the highest id
+    for cfg in (small_config(), small_config(visibility=Visibility(5.0, math.pi))):
+        log = simulate_trajectory(cfg)
+        assert log_from_text(log_to_text(log)) == log
 
 
 def test_log_parse_error_line():
@@ -289,6 +295,6 @@ def test_config_json_rejects_wrong_types(field, value):
 
 def test_first_seen_and_counts():
     frames = (Frame(0, (2,)), Frame(1, (2, 5)), Frame(2, (5,)))
-    log = ObservationLog(frames, 6)
+    log = ObservationLog(frames)
     assert log.first_seen() == {2: 0, 5: 1}
     assert log.total_observations() == 4
