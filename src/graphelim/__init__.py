@@ -37,8 +37,6 @@ from .experiment import (
     read_report_csv,
     rows_to_csv,
     run_experiment,
-    spec_from_json,
-    spec_to_json,
     summarize,
     write_report_csv,
 )
@@ -82,13 +80,13 @@ from .simulate import (
     Trajectory,
     Visibility,
     build_graph,
-    config_from_json,
-    config_to_json,
     default_config,
+    from_json_object,
     log_from_text,
     log_to_text,
     save_log,
     simulate_trajectory,
+    to_json,
     worst_case_graph,
     worst_case_log,
 )

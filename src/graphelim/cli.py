@@ -14,7 +14,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import experiment as exp
@@ -24,11 +24,11 @@ from .pruning import POLICY_NAMES
 from .simulate import (
     Region,
     SimConfig,
-    config_from_json,
-    config_to_json,
     default_config,
+    from_json_object,
     save_log,
     simulate_trajectory,
+    to_json,
     worst_case_graph,
     worst_case_log,
 )
@@ -171,9 +171,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         save_graph(graph, out / "graph.txt")
         save_log(worst_case_log(params.n_x, params.n_l), out / "dataset.log")
         (out / "manifest.json").write_text(
-            json.dumps({"worst_case": asdict(params)}, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-            newline="\n",
+            to_json({"worst_case": params}), encoding="utf-8", newline="\n"
         )
         print(f"wrote worst-case dataset ({graph!r}) to {out}")
     else:
@@ -181,7 +179,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         log = simulate_trajectory(cfg)
         save_log(log, out / "dataset.log")
-        (out / "manifest.json").write_text(config_to_json(cfg), encoding="utf-8", newline="\n")
+        (out / "manifest.json").write_text(to_json(cfg), encoding="utf-8", newline="\n")
         print(
             f"wrote simulated dataset ({len(log.frames)} frames,"
             f" {log.total_observations()} observations) to {out}"
@@ -197,15 +195,14 @@ def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
         _reject_options(
             args, "--manifest", {"--worst-case": "worst_case", **args.sim_options, **dims}
         )
-        text = args.manifest.read_text(encoding="utf-8")
-        data = json.loads(text)
+        data = json.loads(args.manifest.read_text(encoding="utf-8"))
         if isinstance(data, dict) and "worst_case" in data:
             unknown = sorted(set(data) - {"worst_case"})
             if unknown:
                 raise ValueError(f"unknown worst-case manifest keys {unknown}")
-            worst_case = exp.worst_case_from_json(data["worst_case"])
+            worst_case = from_json_object(exp.WorstCaseParams, data["worst_case"], "worst_case")
         else:
-            sim = config_from_json(text)
+            sim = from_json_object(SimConfig, data, "simulation config")
     elif args.worst_case:
         worst_case = _worst_case_from_args(args)
     else:
@@ -224,7 +221,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    (out / "spec.json").write_text(exp.spec_to_json(spec), encoding="utf-8", newline="\n")
+    (out / "spec.json").write_text(to_json(spec), encoding="utf-8", newline="\n")
     rows = exp.run_experiment(spec)
     exp.write_report_csv(rows, out / "report.csv")
     print(f"wrote {len(rows)} rows to {out / 'report.csv'}")
@@ -233,6 +230,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     rows = exp.read_report_csv(args.csv)
+    if not rows:
+        raise ValueError(f"no rows to plot in {args.csv}")
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_report_svg(rows, out / "report.svg")

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 from .cliquetree import build_clique_tree, ec_of_clique_tree
@@ -38,8 +37,6 @@ from .simulate import (
     SimConfig,
     build_graph,
     check_int,
-    config_from_json,
-    from_json_object,
     simulate_trajectory,
     worst_case_log,
 )
@@ -62,11 +59,6 @@ class WorstCaseParams:
     def __post_init__(self) -> None:
         for name, low in (("n_x", 1), ("n_l", 0), ("d_x", 1), ("d_l", 1)):
             check_int(f"worst_case.{name}", getattr(self, name), low)
-
-
-def worst_case_from_json(data) -> WorstCaseParams:
-    """Worst-case parameters from a decoded JSON object; bad keys are input errors."""
-    return from_json_object(WorstCaseParams, data, "worst_case")
 
 
 @dataclass(frozen=True)
@@ -104,23 +96,6 @@ class ExperimentSpec:
         check_int("frame_stride", self.frame_stride, 1)
         if not isinstance(self.oracle, bool):
             raise ValueError(f"oracle must be true or false, got {self.oracle!r}")
-
-
-def spec_to_json(spec: ExperimentSpec) -> str:
-    data = asdict(spec)
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def spec_from_json(text: str) -> ExperimentSpec:
-    """A spec from its JSON text; JSON lists become tuples, absent keys take defaults."""
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
-        if data.get("sim") is not None:
-            data["sim"] = config_from_json(json.dumps(data["sim"]))
-        if data.get("worst_case") is not None:
-            data["worst_case"] = worst_case_from_json(data["worst_case"])
-    return from_json_object(ExperimentSpec, data, "spec")
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from itertools import chain
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -101,8 +102,10 @@ def check_int(name: str, value, low: int) -> None:
 def from_json_object(cls, data, name: str):
     """`cls(**data)` for a decoded JSON object, naming any unknown or missing keys.
 
-    Keys that `data` leaves out take the dataclass's defaults; the type's
-    own `__post_init__` checks the values.
+    A field typed as a record is decoded the same way under its own name,
+    unless it is typed `X | None` and holds null; a JSON list becomes a
+    tuple where the field is typed as one. Keys that `data` leaves out take
+    the dataclass's defaults; the type's own `__post_init__` checks the values.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{name} must be a JSON object, got {data!r}")
@@ -112,7 +115,23 @@ def from_json_object(cls, data, name: str):
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
     if missing:
         raise ValueError(f"missing {name} keys {missing}")
-    return cls(**data)
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in data.items():
+        kind = hints[key]
+        if type(None) in get_args(kind):  # X | None, where null stays None
+            kind = None if value is None else get_args(kind)[0]
+        if is_dataclass(kind):
+            value = from_json_object(kind, value, key)
+        elif get_origin(kind) is tuple and isinstance(value, list):
+            value = tuple(value)
+        values[key] = value
+    return cls(**values)
+
+
+def to_json(obj) -> str:
+    """A record, or a dict of records, as sorted, indented JSON text with a final LF."""
+    return json.dumps(obj, default=asdict, indent=2, sort_keys=True) + "\n"
 
 
 def default_config(
@@ -326,21 +345,3 @@ def log_from_text(text: str, source: str = "<string>") -> ObservationLog:
             raise ParseError(source, line_no, str(exc)) from None
     flush()
     return ObservationLog(tuple(frames))
-
-
-def config_to_json(config: SimConfig) -> str:
-    return json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
-
-
-_CONFIG_PARTS = {"trajectory": Trajectory, "landmark_region": Region, "visibility": Visibility}
-
-
-def config_from_json(text: str) -> SimConfig:
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = {
-            key: from_json_object(_CONFIG_PARTS[key], value, key)
-            if key in _CONFIG_PARTS else value
-            for key, value in data.items()
-        }
-    return from_json_object(SimConfig, data, "simulation config")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -6,8 +7,8 @@ import sys
 import pytest
 
 from graphelim import cli, experiment
-from graphelim.experiment import CSV_HEADER, ExperimentSpec, spec_to_json
-from graphelim.simulate import config_to_json, default_config
+from graphelim.experiment import CSV_HEADER, ExperimentSpec, WorstCaseParams
+from graphelim.simulate import SimConfig, default_config, from_json_object
 
 
 def run_cli(*args, cwd=None):
@@ -194,21 +195,52 @@ def test_bad_gen_arguments_exit_one(tmp_path, args, field):
     assert not out.exists()
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _decode(path, cls, name):
+    return from_json_object(cls, json.loads(path.read_text(encoding="utf-8")), name)
+
+
+# The digests pin the exact bytes written (key order, indent, float text, final
+# LF), which a comparison against the writer's own output would not catch.
 def test_gen_defaults_are_default_config(tmp_path):
     out = tmp_path / "data"
     proc = run_cli("gen", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert (out / "manifest.json").read_text(encoding="utf-8") == config_to_json(
-        default_config()
-    )
+    manifest = out / "manifest.json"
+    assert _decode(manifest, SimConfig, "simulation config") == default_config()
+    assert _sha256(manifest) == "48efdcd83f6f545e664da8a097d7ab412f26e9ec61a1af382aa97ab0405dfa6a"
+
+
+def test_gen_worst_case_manifest_bytes(tmp_path):
+    assert cli.main(["gen", "--worst-case", "3", "2", "--out", str(tmp_path)]) == 0
+    manifest = tmp_path / "manifest.json"
+    params = json.loads(manifest.read_text(encoding="utf-8"))["worst_case"]
+    assert from_json_object(WorstCaseParams, params, "worst_case") == WorstCaseParams(3, 2)
+    assert _sha256(manifest) == "c8812e09822c81ec58b8bd2e4c7704ba73d4927597bf7be2fe0c231a7e70c107"
 
 
 def test_experiment_defaults_are_spec_defaults(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "run_experiment", lambda spec: [])
     assert cli.main(["experiment", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "spec.json").read_text(encoding="utf-8") == spec_to_json(
-        ExperimentSpec(sim=default_config())
-    )
+    spec = tmp_path / "spec.json"
+    assert _decode(spec, ExperimentSpec, "spec") == ExperimentSpec(sim=default_config())
+    assert _sha256(spec) == "74e44f09a5dc5457d0ec224bdfbfeabf6343165dbce2a4011abfd809081a21ef"
+
+
+def test_manifest_with_null_record_exits_one(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--frames", "20", "--landmarks", "10", "--out", str(data)]) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["trajectory"] = None
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "x"
+    args = ["experiment", "--manifest", str(data / "manifest.json"), "--out", str(out)]
+    assert cli.main(args) == 1
+    assert "trajectory must be a JSON object, got None" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_with_non_numeric_field_exits_one(tmp_path):
@@ -250,18 +282,31 @@ _GOOD_ROW = "0,full,1,0,1,0,216.000,216,,216"
 def test_malformed_report_csv_exits_one(tmp_path, row):
     csv_path = tmp_path / "report.csv"
     csv_path.write_text(f"{','.join(CSV_HEADER)}\n{_GOOD_ROW}\n{row}\n")
-    proc = run_cli("report", "--csv", str(csv_path), "--out", str(tmp_path / "rep"))
+    out = tmp_path / "rep"
+    proc = run_cli("report", "--csv", str(csv_path), "--out", str(out))
     assert proc.returncode == 1, proc.stderr
     assert f"{csv_path}:3:" in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("first_lines", ["a,b\n", ""], ids=["wrong-header", "empty"])
 def test_bad_report_csv_header_exits_one_at_line_one(tmp_path, first_lines):
     csv_path = tmp_path / "report.csv"
     csv_path.write_text(first_lines)
-    proc = run_cli("report", "--csv", str(csv_path), "--out", str(tmp_path / "rep"))
+    out = tmp_path / "rep"
+    proc = run_cli("report", "--csv", str(csv_path), "--out", str(out))
     assert proc.returncode == 1, proc.stderr
     assert f"{csv_path}:1: unexpected CSV header" in proc.stderr
+    assert not out.exists()
+
+
+def test_header_only_report_csv_exits_one(tmp_path, capsys):
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text(f"{','.join(CSV_HEADER)}\n")
+    out = tmp_path / "rep"
+    assert cli.main(["report", "--csv", str(csv_path), "--out", str(out)]) == 1
+    assert "no rows to plot" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

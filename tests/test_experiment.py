@@ -13,14 +13,21 @@ from graphelim.experiment import (
     read_report_csv,
     rows_to_csv,
     run_experiment,
-    spec_from_json,
-    spec_to_json,
     summarize,
     write_report_csv,
 )
 from graphelim.plotting import render_report_svg
 from graphelim.pruning import apply_policy
-from graphelim.simulate import Region, SimConfig, Trajectory, Visibility, build_graph, simulate_trajectory
+from graphelim.simulate import (
+    Region,
+    SimConfig,
+    Trajectory,
+    Visibility,
+    build_graph,
+    from_json_object,
+    simulate_trajectory,
+    to_json,
+)
 
 
 def tiny_sim(seed=3):
@@ -76,32 +83,39 @@ def test_spec_validation():
     ],
 )
 def test_spec_json_rejects_bad_fields(field, value):
-    data = json.loads(spec_to_json(tiny_spec()))
+    data = json.loads(to_json(tiny_spec()))
     data[field] = value
     with pytest.raises(ValueError, match=field):
-        spec_from_json(json.dumps(data))
+        from_json_object(ExperimentSpec, data, "spec")
 
 
 def test_spec_json_rejects_unknown_worst_case_key():
-    data = json.loads(spec_to_json(tiny_spec(sim=None, worst_case=WorstCaseParams(3, 2))))
+    data = json.loads(to_json(tiny_spec(sim=None, worst_case=WorstCaseParams(3, 2))))
     data["worst_case"]["bogus"] = 1
     with pytest.raises(ValueError, match="bogus"):
-        spec_from_json(json.dumps(data))
+        from_json_object(ExperimentSpec, data, "spec")
+
+
+def test_spec_json_rejects_null_record():
+    data = json.loads(to_json(tiny_spec()))
+    data["sim"]["visibility"] = None
+    with pytest.raises(ValueError, match="visibility must be a JSON object, got None"):
+        from_json_object(ExperimentSpec, data, "spec")
 
 
 @pytest.mark.parametrize("key", ["oracel", "max_frames"])
 def test_spec_json_rejects_unknown_key(key):
-    data = json.loads(spec_to_json(tiny_spec()))
+    data = json.loads(to_json(tiny_spec()))
     data[key] = 5
     with pytest.raises(ValueError, match=key):
-        spec_from_json(json.dumps(data))
+        from_json_object(ExperimentSpec, data, "spec")
 
 
 def test_spec_json_roundtrip():
     spec = tiny_spec(oracle=True)
-    assert spec_from_json(spec_to_json(spec)) == spec
+    assert from_json_object(ExperimentSpec, json.loads(to_json(spec)), "spec") == spec
     wc_spec = tiny_spec(sim=None, worst_case=WorstCaseParams(9, 5, 1, 1))
-    assert spec_from_json(spec_to_json(wc_spec)) == wc_spec
+    assert from_json_object(ExperimentSpec, json.loads(to_json(wc_spec)), "spec") == wc_spec
 
 
 def test_worst_case_single_frame_row():

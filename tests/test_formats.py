@@ -7,6 +7,7 @@ break one key and expect a ValueError that names it.
 """
 
 import json
+import math
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -16,12 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphelim.elimination import ORDERING_FUNCTIONS, load_ordering, save_ordering
-from graphelim.experiment import (
-    ExperimentSpec,
-    WorstCaseParams,
-    spec_from_json,
-    spec_to_json,
-)
+from graphelim.experiment import ExperimentSpec, WorstCaseParams
 from graphelim.graph import ParseError, graph_from_text, graph_to_text
 from graphelim.pruning import POLICY_NAMES
 from graphelim.simulate import (
@@ -31,10 +27,10 @@ from graphelim.simulate import (
     SimConfig,
     Trajectory,
     Visibility,
-    config_from_json,
-    config_to_json,
+    from_json_object,
     log_from_text,
     log_to_text,
+    to_json,
 )
 
 from helpers import random_graph_and_ordering
@@ -161,16 +157,17 @@ def test_ordering_text_parse_error_names_line(ordering, at, bad):
 
 @st.composite
 def sim_configs(draw):
-    """Valid simulation configs."""
+    """Valid simulation configs; wavelength, range and field of view may be infinite."""
     positive = st.floats(0.01, 1e3, allow_nan=False)
+    limit = positive | st.just(math.inf)
     return SimConfig(
         n_frames=draw(st.integers(2, 500)),
-        trajectory=Trajectory(draw(st.floats(-50, 50)), draw(positive), draw(positive)),
+        trajectory=Trajectory(draw(st.floats(-50, 50)), draw(limit), draw(positive)),
         landmark_count=draw(st.integers(0, 200)),
         landmark_region=Region(
             -draw(positive), draw(positive), -draw(positive), draw(positive)
         ),
-        visibility=Visibility(draw(positive), draw(positive)),
+        visibility=Visibility(draw(limit), draw(limit)),
         min_obs_to_init=draw(st.integers(2, 5)),
         d_x=draw(st.integers(1, 6)),
         d_l=draw(st.integers(1, 6)),
@@ -181,7 +178,7 @@ def sim_configs(draw):
 @settings(max_examples=200, deadline=None)
 @given(cfg=sim_configs())
 def test_config_json_roundtrip_property(cfg):
-    assert config_from_json(config_to_json(cfg)) == cfg
+    assert from_json_object(SimConfig, json.loads(to_json(cfg)), "simulation config") == cfg
 
 
 # the keys of the config's top level ("") and of each nested object
@@ -198,10 +195,10 @@ _CONFIG_KEYS = {
 @given(cfg=sim_configs(), part=st.sampled_from(sorted(_CONFIG_KEYS)), key=st.text(min_size=1))
 def test_config_json_unknown_key_named(cfg, part, key):
     assume(key not in _CONFIG_KEYS[part])
-    data = json.loads(config_to_json(cfg))
+    data = json.loads(to_json(cfg))
     (data[part] if part else data)[key] = 1
     with pytest.raises(ValueError) as err:
-        config_from_json(json.dumps(data))
+        from_json_object(SimConfig, data, "simulation config")
     assert repr(key) in str(err.value)
 
 
@@ -230,7 +227,7 @@ def specs(draw):
 @settings(max_examples=200, deadline=None)
 @given(spec=specs())
 def test_spec_json_roundtrip_property(spec):
-    assert spec_from_json(spec_to_json(spec)) == spec
+    assert from_json_object(ExperimentSpec, json.loads(to_json(spec)), "spec") == spec
 
 
 _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
@@ -239,10 +236,10 @@ _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)}
 @settings(max_examples=200, deadline=None)
 @given(spec=specs(), key=st.text(min_size=1).filter(lambda k: k not in _SPEC_KEYS))
 def test_spec_json_unknown_key_named(spec, key):
-    data = json.loads(spec_to_json(spec))
+    data = json.loads(to_json(spec))
     data[key] = 1
     with pytest.raises(ValueError) as err:
-        spec_from_json(json.dumps(data))
+        from_json_object(ExperimentSpec, data, "spec")
     assert repr(key) in str(err.value)
 
 
@@ -259,7 +256,7 @@ def test_spec_json_unknown_key_named(spec, key):
 )
 def test_spec_json_bad_value_names_field(spec, bad):
     field, value = bad
-    data = json.loads(spec_to_json(spec))
+    data = json.loads(to_json(spec))
     data[field] = value
     with pytest.raises(ValueError, match=field):
-        spec_from_json(json.dumps(data))
+        from_json_object(ExperimentSpec, data, "spec")

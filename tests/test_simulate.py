@@ -21,12 +21,12 @@ from graphelim.simulate import (
     Trajectory,
     Visibility,
     build_graph,
-    config_from_json,
-    config_to_json,
     default_config,
+    from_json_object,
     log_from_text,
     log_to_text,
     simulate_trajectory,
+    to_json,
     worst_case_graph,
     worst_case_log,
 )
@@ -254,20 +254,20 @@ def test_obs_before_frame_rejected():
 
 def test_config_json_roundtrip():
     cfg = small_config()
-    assert config_from_json(config_to_json(cfg)) == cfg
+    assert from_json_object(SimConfig, json.loads(to_json(cfg)), "simulation config") == cfg
 
 
 def test_config_json_missing_field():
     with pytest.raises(ValueError):
-        config_from_json('{"n_frames": 10}')
+        from_json_object(SimConfig, {"n_frames": 10}, "simulation config")
 
 
 @pytest.mark.parametrize("key", ["n_frame", "sed"])
 def test_config_json_rejects_unknown_key(key):
-    data = json.loads(config_to_json(small_config()))
+    data = json.loads(to_json(small_config()))
     data[key] = 5
     with pytest.raises(ValueError, match=key):
-        config_from_json(json.dumps(data))
+        from_json_object(SimConfig, data, "simulation config")
 
 
 @pytest.mark.parametrize(
@@ -283,14 +283,14 @@ def test_config_json_rejects_unknown_key(key):
     ],
 )
 def test_config_json_rejects_wrong_types(field, value):
-    data = json.loads(config_to_json(small_config()))
+    data = json.loads(to_json(small_config()))
     *parents, key = field.split(".")
     target = data
     for name in parents:
         target = target[name]
     target[key] = value
     with pytest.raises(ValueError, match=field):
-        config_from_json(json.dumps(data))
+        from_json_object(SimConfig, data, "simulation config")
 
 
 def test_first_seen_and_counts():
