@@ -1,7 +1,10 @@
 """Command-line front door: `graphelim {gen,experiment,report}`.
 
 The CLI adds no computation of its own; every CSV row it writes is
-re-derivable by calling the library directly. Exit codes: 0 success,
+re-derivable by calling the library directly. Each command imports only
+what it runs: `report` reads a CSV and writes its summary and plot with
+the standard library alone, and numpy and the compute modules are loaded
+on first use by `gen` and `experiment`. Exit codes: 0 success,
 1 validation error, 2 runtime failure. Set GRAPHELIM_LOG=debug|info|...
 to control log verbosity.
 """
@@ -17,21 +20,54 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import experiment as exp
-from .graph import save_graph
 from .plotting import write_report_svg
-from .pruning import POLICY_NAMES
-from .simulate import (
-    Region,
-    SimConfig,
-    default_config,
-    from_json_object,
-    save_log,
-    simulate_trajectory,
-    to_json,
-    worst_case_graph,
-    worst_case_log,
+from .report import (
+    POLICY_NAMES,
+    read_report_csv,
+    summarize,
+    summary_to_csv,
+    write_report_csv,
 )
+
+# sorted(elimination.ORDERING_FUNCTIONS), held here so that building the
+# parser imports no numpy; a test pins the two equal
+ORDERING_NAMES = ("landmark_first", "min_degree", "natural")
+
+# The numpy side: what `gen` and `experiment` use of `simulate`, then
+# `save_graph` and `exp`, the experiment module. `_import_numpy_side` binds
+# them here on those commands' first use, so `report` starts without numpy.
+# Each stays an attribute of this module, looked up at call time, so a caller
+# may rebind one before `main` runs.
+_SIMULATE_NAMES = (
+    "Region",
+    "SimConfig",
+    "default_config",
+    "from_json_object",
+    "save_log",
+    "simulate_trajectory",
+    "to_json",
+    "worst_case_graph",
+    "worst_case_log",
+)
+_NUMPY_SIDE = ("exp", "save_graph", *_SIMULATE_NAMES)
+
+
+def _import_numpy_side() -> None:
+    """Bind the `_NUMPY_SIDE` names here, keeping any a caller has rebound."""
+    from . import experiment, graph, simulate
+
+    found = {"exp": experiment, "save_graph": graph.save_graph}
+    found.update((name, getattr(simulate, name)) for name in _SIMULATE_NAMES)
+    for name, value in found.items():
+        globals().setdefault(name, value)
+
+
+def __getattr__(name: str):
+    """A `_NUMPY_SIDE` name read before a command bound it (PEP 562)."""
+    if name not in _NUMPY_SIDE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _import_numpy_side()
+    return globals()[name]
 
 
 class _ValidationError(ValueError):
@@ -147,7 +183,7 @@ def _build_parser() -> _Parser:
     run.add_argument(
         "--seed", action="append", type=int, help="pruning seed for rand (repeatable)"
     )
-    run.add_argument("--ordering", choices=sorted(exp.ORDERING_FUNCTIONS))
+    run.add_argument("--ordering", choices=ORDERING_NAMES)
     run.add_argument(
         "--oracle",
         action=argparse.BooleanOptionalAction,
@@ -163,6 +199,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _import_numpy_side()
     out: Path = args.out
     if args.worst_case:
         params = _worst_case_from_args(args)
@@ -187,6 +224,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict; a key given twice is an error, not the last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
     sim = None
     worst_case = None
@@ -195,7 +242,9 @@ def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
         _reject_options(
             args, "--manifest", {"--worst-case": "worst_case", **args.sim_options, **dims}
         )
-        data = json.loads(args.manifest.read_text(encoding="utf-8"))
+        data = json.loads(
+            args.manifest.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys
+        )
         if isinstance(data, dict) and "worst_case" in data:
             unknown = sorted(set(data) - {"worst_case"})
             if unknown:
@@ -218,26 +267,27 @@ def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    _import_numpy_side()
     spec = _spec_from_args(args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "spec.json").write_text(to_json(spec), encoding="utf-8", newline="\n")
     rows = exp.run_experiment(spec)
-    exp.write_report_csv(rows, out / "report.csv")
+    write_report_csv(rows, out / "report.csv")
     print(f"wrote {len(rows)} rows to {out / 'report.csv'}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    rows = exp.read_report_csv(args.csv)
+    rows = read_report_csv(args.csv)
     if not rows:
         raise ValueError(f"no rows to plot in {args.csv}")
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     write_report_svg(rows, out / "report.svg")
-    summaries = exp.summarize(rows)
+    summaries = summarize(rows)
     (out / "summary.csv").write_text(
-        exp.summary_to_csv(summaries), encoding="utf-8", newline="\n"
+        summary_to_csv(summaries), encoding="utf-8", newline="\n"
     )
     print(f"{'policy':>10} {'rate':>4} {'final cost':>14} {'mean oracle mults':>18}")
     for s in summaries:

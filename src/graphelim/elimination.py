@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .graph import FactorGraph, Kind, ParseError
+from .graph import FactorGraph, Kind
+from .report import ParseError
 
 BRUTE_FORCE_LIMIT = 10
 

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .report import ParseError
+
 
 class Kind(Enum):
     POSE = "POSE"
@@ -33,14 +35,6 @@ class Variable:
 class Factor:
     id: int
     vars: tuple[int, ...]
-
-
-class ParseError(ValueError):
-    """Malformed graph/log/ordering file; carries the offending line number."""
-
-    def __init__(self, source: str, line_no: int, message: str):
-        super().__init__(f"{source}:{line_no}: {message}")
-        self.line_no = line_no
 
 
 def _check_factor(ids: list[int], n_vars: int) -> None:

@@ -1,15 +1,17 @@
-"""Dependency-light static SVG rendering of experiment reports.
+"""Static SVG rendering of experiment reports, in the standard library only.
 
 One polyline per (policy, rate, seed) curve of ec_block against frame
 index; prediction overlays (`pred_*` policies) draw dashed. This is a
-convenience for eyeballing results, not an analysis tool.
+convenience for eyeballing results, not an analysis tool. It reads the
+rows of `graphelim.report` and imports no numpy, so `graphelim report`
+runs without it.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .experiment import ReportRow
+from .report import ReportRow
 
 WIDTH, HEIGHT = 880, 520
 MARGIN_LEFT, MARGIN_RIGHT = 70, 170

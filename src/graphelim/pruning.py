@@ -27,9 +27,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .report import POLICY_NAMES
 from .simulate import Frame, ObservationLog
-
-POLICY_NAMES = ("full", "rand", "tgreedy", "kf", "dec")
 
 _REFRESH_EVERY = 64
 

@@ -22,7 +22,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .graph import FactorGraph, Kind, ParseError
+from .graph import FactorGraph, Kind
+from .report import ParseError
 
 DEFAULT_POSE_DIM = 6
 DEFAULT_LANDMARK_DIM = 3

@@ -21,7 +21,7 @@ from graphelim.elimination import (
     scalar_mult_count,
     simulate_elimination,
 )
-from graphelim.experiment import ExperimentSpec, rows_to_csv, run_experiment
+from graphelim.experiment import ExperimentSpec, run_experiment
 from graphelim.graph import Kind
 from graphelim.oracle import cholesky_count, pearson_correlation, synthesize_system
 from graphelim.pruning import (
@@ -31,6 +31,7 @@ from graphelim.pruning import (
     prune_decimate,
     prune_keyframe,
 )
+from graphelim.report import rows_to_csv
 from graphelim.simulate import (
     build_graph,
     default_config,

@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from graphelim import cli, experiment
-from graphelim.experiment import CSV_HEADER, ExperimentSpec, WorstCaseParams
+from graphelim.elimination import ORDERING_FUNCTIONS
+from graphelim.experiment import ExperimentSpec, WorstCaseParams
+from graphelim.pruning import POLICY_NAMES
+from graphelim.report import CSV_HEADER
 from graphelim.simulate import SimConfig, default_config, from_json_object
 
 
@@ -66,10 +69,25 @@ def test_experiment_pipeline_and_determinism(tmp_path):
     assert (report_dir / "summary.csv").read_text().startswith("policy,rate,")
 
 
+def _choices(command: str, option: str) -> tuple:
+    """The choices the CLI parser gives `option` of `command`."""
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    return tuple(next(a for a in commands[command]._actions if option in a.option_strings).choices)
+
+
 def test_validation_errors_exit_one(tmp_path):
     assert run_cli("experiment", "--out", str(tmp_path / "x"), "--rate", "0").returncode == 1
     assert run_cli("bogus-command").returncode == 1
     assert run_cli("report", "--csv", str(tmp_path / "missing.csv"), "--out", str(tmp_path)).returncode == 1
+    bogus = run_cli("experiment", "--ordering", "bogus", "--out", str(tmp_path / "x"))
+    assert bogus.returncode == 1
+    assert "invalid choice: 'bogus'" in bogus.stderr
+    assert all(name in bogus.stderr for name in ORDERING_FUNCTIONS)
+    # the parser's names are static, so building it imports no numpy
+    assert (_choices("experiment", "--ordering"), _choices("experiment", "--policy")) == (
+        tuple(sorted(ORDERING_FUNCTIONS)), POLICY_NAMES
+    )
 
 
 def test_worst_case_experiment_row_counts(tmp_path):
@@ -243,6 +261,21 @@ def test_manifest_with_null_record_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "opening, key", [("{", "seed"), ('"trajectory": {', "amplitude")], ids=["top", "nested"]
+)
+def test_manifest_with_repeated_key_exits_one(tmp_path, capsys, opening, key):
+    data = tmp_path / "data"
+    assert cli.main(["gen", "--frames", "20", "--landmarks", "10", "--out", str(data)]) == 0
+    manifest = data / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text(text.replace(opening, f'{opening}\n"{key}": 5,', 1))
+    out = tmp_path / "x"
+    assert cli.main(["experiment", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert f"repeated key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_with_non_numeric_field_exits_one(tmp_path):
     data = tmp_path / "data"
     assert run_cli("gen", "--frames", "20", "--landmarks", "10", "--out", str(data)).returncode == 0
@@ -334,3 +367,48 @@ def test_out_of_range_report_field_exits_one(tmp_path, field, value):
     proc = run_cli("report", "--csv", str(csv_path), "--out", str(tmp_path / "rep"))
     assert proc.returncode == 1, proc.stderr
     assert f"{csv_path}:3: {field} " in proc.stderr
+
+
+# every name `graphelim` exported when its __init__ imported each module eagerly
+_PACKAGE_EXPORTS = (
+    "CholeskyCount", "Clique", "CliqueTree", "EliminationTrace", "ExperimentSpec",
+    "Factor", "FactorGraph", "Frame", "Kind", "NotPositiveDefiniteError",
+    "ObservationLog", "ParseError", "PruneResult", "Region", "ReportRow", "SimConfig",
+    "SparseSystem", "Step", "Trajectory", "Variable", "Visibility", "WorstCaseParams",
+    "apply_policy", "build_clique_tree", "build_graph", "cholesky_count",
+    "decimation_offsets", "default_config", "ec_of_clique_tree",
+    "elimination_complexity", "elimination_tree", "format_clique_tree",
+    "from_json_object", "graph_from_text", "graph_to_text", "landmark_first_ordering",
+    "load_graph", "load_ordering", "log_from_text", "log_to_text",
+    "min_degree_ordering", "natural_ordering", "optimal_ordering_bruteforce",
+    "pearson_correlation", "predicted_ec_decimate", "predicted_ec_full",
+    "predicted_ec_keyframe", "prune_decimate", "prune_keyframe", "prune_random",
+    "prune_tgreedy", "read_report_csv", "rows_to_csv", "run_experiment", "save_graph",
+    "save_log", "save_ordering", "scalar_mult_count", "simulate_elimination",
+    "simulate_trajectory", "solve_with_factor", "summarize", "synthesize_system",
+    "to_json", "trace_to_csv", "worst_case_graph", "worst_case_log", "write_report_csv",
+)
+
+
+def test_report_loads_no_numpy_and_exports_resolve_lazily(tmp_path):
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text(f"{','.join(CSV_HEADER)}\n{_GOOD_ROW}\n")
+    out = tmp_path / "rep"
+    script = f"""
+import importlib
+import sys
+
+import graphelim
+import graphelim.cli
+
+assert graphelim.cli.main(["report", "--csv", {str(csv_path)!r}, "--out", {str(out)!r}]) == 0
+assert "numpy" not in sys.modules, "graphelim report imported numpy"
+for name in {_PACKAGE_EXPORTS!r}:
+    value = getattr(graphelim, name)
+    assert value is getattr(importlib.import_module(value.__module__), name), name
+    assert name in dir(graphelim), name
+assert graphelim.graph.ParseError is graphelim.ParseError
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "summary.csv").is_file() and (out / "report.svg").is_file()

@@ -6,18 +6,16 @@ import pytest
 from graphelim import cliquetree, elimination, experiment
 from graphelim.cliquetree import build_clique_tree, ec_of_clique_tree
 from graphelim.elimination import elimination_complexity, min_degree_ordering
-from graphelim.experiment import (
+from graphelim.experiment import ExperimentSpec, WorstCaseParams, run_experiment
+from graphelim.plotting import render_report_svg
+from graphelim.pruning import apply_policy
+from graphelim.report import (
     CSV_HEADER,
-    ExperimentSpec,
-    WorstCaseParams,
     read_report_csv,
     rows_to_csv,
-    run_experiment,
     summarize,
     write_report_csv,
 )
-from graphelim.plotting import render_report_svg
-from graphelim.pruning import apply_policy
 from graphelim.simulate import (
     Region,
     SimConfig,
