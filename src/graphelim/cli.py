@@ -4,9 +4,9 @@ The CLI adds no computation of its own; every CSV row it writes is
 re-derivable by calling the library directly. Each command imports only
 what it runs: `report` reads a CSV and writes its summary and plot with
 the standard library alone, and numpy and the compute modules are loaded
-on first use by `gen` and `experiment`. Exit codes: 0 success,
-1 validation error, 2 runtime failure. Set GRAPHELIM_LOG=debug|info|...
-to control log verbosity.
+on first use by `gen` and `experiment`. Exit codes: 0 success, 1 bad
+input, 2 a bug, such as a `ValueError` from an experiment once its spec
+is built. Set GRAPHELIM_LOG=debug|info|... to control log verbosity.
 """
 
 from __future__ import annotations
@@ -272,7 +272,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "spec.json").write_text(to_json(spec), encoding="utf-8", newline="\n")
-    rows = exp.run_experiment(spec)
+    try:
+        rows = exp.run_experiment(spec)
+    except ValueError as exc:  # the spec is valid, so this is a bug: exit 2
+        raise RuntimeError(exc) from exc
     write_report_csv(rows, out / "report.csv")
     print(f"wrote {len(rows)} rows to {out / 'report.csv'}")
     return 0
@@ -311,9 +314,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_gen(args)
         if args.command == "experiment":
             return _cmd_experiment(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise _ValidationError(f"unknown command {args.command!r}")
+        return _cmd_report(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,14 +4,16 @@ The elimination-cost metrics are structural; this module provides the
 independent numeric side. `synthesize_system` builds a random symmetric
 positive-definite matrix whose scalar sparsity pattern is exactly the
 graph's variable adjacency expanded to blocks. `cholesky_count` factors it
-multifrontally (Duff and Reid 1983; Liu 1992), one dense front per
-fundamental supernode, each by a LAPACK Cholesky and solve, and tallies
-pivot by pivot, from the fronts' widths, the multiplications of the scalar
-right-looking Cholesky, whose column scaling by the reciprocal root spends
-one division per pivot. No count comes from the elimination cost it is
-meant to check; the factor is checked numerically, and a nonpositive pivot
-is named by the scalar loop on the pivot block LAPACK refused. The fronts'
-(frontal, separator) dimensions are an independent check of the clique tree.
+under a variable ordering, multifrontally (Duff and Reid 1983; Liu 1992):
+one run of pivots per variable, read from the pattern permuted once, one
+dense front per fundamental supernode of runs, each by a LAPACK Cholesky
+and solve. It tallies pivot by pivot, from the fronts' widths, the
+multiplications of the scalar right-looking Cholesky, whose column scaling
+by the reciprocal root spends one division per pivot. No count comes from
+the elimination cost it is meant to check; the factor is checked
+numerically, and a nonpositive pivot is named by the scalar loop on the
+pivot block LAPACK refused. The fronts' (frontal, separator) dimensions
+are an independent check of the clique tree.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ class SparseSystem:
     var_dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for v, d in enumerate(self.var_dims):
+            if d < 1:
+                raise ValueError(f"var_dims[{v}] must be >= 1, got {d}")
         n = sum(self.var_dims)
         if self.values.shape != (n, n) or self.pattern.shape != (n, n):
             raise ValueError(
@@ -49,10 +54,6 @@ class SparseSystem:
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def var_offsets(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.var_dims, initial=0))[:-1]
 
 
 @dataclass(frozen=True)
@@ -104,51 +105,42 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
 
 
 def scalar_permutation(system: SparseSystem, ordering: Sequence[int]) -> np.ndarray:
-    """Expand a block (variable) ordering to scalar indices.
-
-    A scalar ordering (a permutation of all row indices) passes through
-    unchanged.
-    """
+    """Expand a variable ordering to scalar indices: each variable's
+    scalars, in their own order, at its turn."""
     n_vars = len(system.var_dims)
-    order = list(ordering)
-    if len(order) == n_vars and sorted(order) == list(range(n_vars)):
-        starts, out = system.var_offsets, []
-        for v in order:
-            out.extend(range(starts[v], starts[v] + system.var_dims[v]))
-        return np.array(out, dtype=np.intp)
-    if len(order) == system.n and sorted(order) == list(range(system.n)):
-        return np.array(order, dtype=np.intp)
-    raise ValueError("ordering is neither a block nor a scalar permutation")
+    if len(ordering) != n_vars or set(ordering) != set(range(n_vars)):
+        raise ValueError(f"ordering is not a permutation of the {n_vars} variable ids")
+    starts = list(itertools.accumulate(system.var_dims, initial=0))
+    scalars = [i for v in ordering for i in range(starts[v], starts[v + 1])]
+    return np.array(scalars, dtype=np.intp)
 
 
 def _fronts(
-    system: SparseSystem, perm: np.ndarray
+    pattern: np.ndarray, dims: Sequence[int]
 ) -> list[tuple[np.ndarray, int, int, np.ndarray | None]]:
     """Symbolic pass: the fronts of the multifrontal factorization.
 
-    Reads only `system.pattern`. The permuted scalars split into runs of
-    consecutive scalars of one variable. A run's front is its pivots, the
-    later entries of their (shared) original pattern row and its children's
-    update sets; its update set is the front minus its pivots, and its
-    parent is the run that holds the update set's smallest index. A run
-    joins the front before it when it is that front's parent, has no other
-    child, and its own front equals that update set (a fundamental
-    supernode). Each front comes out as (index set of sorted permuted
-    positions, pivot count, parent front or -1, positions of its update
-    set within the parent's index set).
+    Reads only `pattern`, the system's pattern permuted by the ordering,
+    whose r-th run of `dims[r]` consecutive scalars is the r-th variable
+    eliminated. A run's front is its pivots, the later entries of their
+    (shared) pattern row and its children's update sets; its update set is
+    the front minus its pivots, and its parent is the run that holds the
+    update set's smallest index. A run joins the front before it when it is
+    that front's parent, has no other child, and its own front equals that
+    update set (a fundamental supernode). Each front comes out as (index
+    set of sorted permuted positions, pivot count, parent front or -1,
+    positions of its update set within the parent's index set).
     """
-    n = system.n
-    owner = np.repeat(np.arange(len(system.var_dims)), system.var_dims)[perm]
-    bounds = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), n]
-    run_of = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    children: list[list[int]] = [[] for _ in bounds[1:]]
+    bounds = list(itertools.accumulate(dims, initial=0))
+    run_of = np.repeat(np.arange(len(dims)), dims)
+    children: list[list[int]] = [[] for _ in dims]
     updates: list[np.ndarray] = []
     parents: list[int] = []
     front_of: list[int] = []  # run -> front
     fronts: list[list] = []  # [index set, pivot count, last run]
     for r, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         p = stop - start
-        rows = system.pattern[np.ix_(perm[start:stop], perm[start:])]
+        rows = pattern[start:stop, start:]
         if not (rows == rows[0]).all():
             raise ValueError(f"pattern not block-structured at pivot {start}")
         parts = [np.arange(start, stop), np.flatnonzero(rows[0]) + start]
@@ -211,13 +203,16 @@ def _pivot_by_pivot(block: np.ndarray, start: int) -> np.ndarray:
 
 
 def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCount:
-    """Multifrontal sparse Cholesky under `ordering`, tallying every scalar
-    multiplication and division of the unblocked scalar loop.
+    """Multifrontal sparse Cholesky under the variable ordering `ordering`,
+    tallying every scalar multiplication and division of the unblocked
+    scalar loop.
 
+    Each variable's scalars are eliminated together, as one run of pivots.
     A symbolic pass (`_fronts`) finds each front's index set and parent
-    from the pattern. The numeric pass visits the fronts in elimination
-    order. A front is a dense matrix over its index set: the original rows
-    of its pivots plus the update matrices its children added into it.
+    from the pattern, permuted once. The numeric pass visits the fronts in
+    elimination order. A front is a dense matrix over its index set: the
+    original rows of its pivots plus the update matrices its children
+    added into it.
     Each panel of at most `_PANEL` pivot rows takes one Cholesky of its
     diagonal block, one solve against that factor for the rest of its rows
     and one product that updates the rest of the front. The Schur
@@ -228,12 +223,15 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     the factor entries stored beyond the original pattern. Both come from
     the pattern alone, however pivots are grouped into fronts. A pattern
     whose variables do not share one pattern row, or whose elimination
-    would split a variable's pivots, raises ValueError. When a panel's
+    would split a variable's pivots, raises ValueError, as does an ordering
+    that is not a permutation of the variable ids. When a panel's
     Cholesky fails, the scalar loop on that block alone raises
     NotPositiveDefiniteError naming the first nonpositive pivot.
     """
     perm = scalar_permutation(system, ordering)
-    fronts = _fronts(system, perm)
+    fronts = _fronts(
+        system.pattern[np.ix_(perm, perm)], [system.var_dims[v] for v in ordering]
+    )
     pending: list[np.ndarray | None] = [None] * len(fronts)
     blocks = []
     mult = div = stored = 0

@@ -54,13 +54,17 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def rows_to_csv(rows: list[ReportRow]) -> str:
+def _records_to_csv(cls: type, records: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in rows:
+    writer.writerow(f.name for f in fields(cls))
+    for r in records:
         writer.writerow([_format_value(v) for v in astuple(r)])
     return buf.getvalue()
+
+
+def rows_to_csv(rows: list[ReportRow]) -> str:
+    return _records_to_csv(ReportRow, rows)
 
 
 def write_report_csv(rows: list[ReportRow], path: str | Path) -> None:
@@ -146,8 +150,4 @@ def summarize(rows: list[ReportRow]) -> list[PolicySummary]:
 
 
 def summary_to_csv(summaries: list[PolicySummary]) -> str:
-    lines = ["policy,rate,final_ec,mean_oracle_mult"]
-    for s in summaries:
-        mean = "" if s.mean_oracle_mult is None else f"{s.mean_oracle_mult:.3f}"
-        lines.append(f"{s.policy},{s.rate},{s.final_ec:.3f},{mean}")
-    return "\n".join(lines) + "\n"
+    return _records_to_csv(PolicySummary, summaries)

@@ -9,6 +9,7 @@ import pytest
 from graphelim import cli, experiment
 from graphelim.elimination import ORDERING_FUNCTIONS
 from graphelim.experiment import ExperimentSpec, WorstCaseParams
+from graphelim.oracle import NotPositiveDefiniteError
 from graphelim.pruning import POLICY_NAMES
 from graphelim.report import CSV_HEADER
 from graphelim.simulate import SimConfig, default_config, from_json_object
@@ -246,6 +247,16 @@ def test_experiment_defaults_are_spec_defaults(tmp_path, monkeypatch):
     spec = tmp_path / "spec.json"
     assert _decode(spec, ExperimentSpec, "spec") == ExperimentSpec(sim=default_config())
     assert _sha256(spec) == "74e44f09a5dc5457d0ec224bdfbfeabf6343165dbce2a4011abfd809081a21ef"
+
+
+def test_failure_inside_a_validated_experiment_exits_two(tmp_path, monkeypatch, capsys):
+    def fail(spec):
+        raise NotPositiveDefiniteError("nonpositive pivot -1 at elimination index 3")
+
+    monkeypatch.setattr(experiment, "run_experiment", fail)
+    assert cli.main(["experiment", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "internal error: nonpositive pivot -1 at elimination index 3\n"
 
 
 def test_manifest_with_null_record_exits_one(tmp_path, capsys):

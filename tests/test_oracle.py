@@ -212,12 +212,14 @@ def test_system_dims_must_match_matrix(dims):
         SparseSystem(2 * np.eye(3), np.eye(3, dtype=bool), dims)
 
 
+def test_zero_var_dim_rejected():
+    with pytest.raises(ValueError, match=r"var_dims\[1\] must be >= 1, got 0"):
+        SparseSystem(2 * np.eye(2), np.eye(2, dtype=bool), (1, 0, 1))
+
+
 def _random_system_and_ordering(rng):
-    g, block_order = random_graph_and_ordering(rng)
-    system = synthesize_system(g, seed=rng.randrange(2**32))
-    if rng.random() < 0.5:
-        return system, block_order
-    return system, random_ordering(rng, system.n)
+    g, order = random_graph_and_ordering(rng)
+    return synthesize_system(g, seed=rng.randrange(2**32)), order
 
 
 def _assert_matches_reference(got, ref):
@@ -320,7 +322,7 @@ def test_failing_pivot_inside_merged_front_matches_reference(
     count = cholesky_count(system, order)
     assert count.front_dims[-1] == (pivots, 0) and count.factor[-1][0][0] == 9
     _assert_matches_reference(count, reference_cholesky_count(system, order))
-    i = system.var_offsets[var] + scalar
+    i = sum(system.var_dims[:var]) + scalar
     assert count.scalar_order[position] == i
     broken = system.values.copy()
     broken[i, i] = -0.5
@@ -361,14 +363,11 @@ def test_run_sliced_extend_add_equals_fancy_index_scatter(case):
     assert np.array_equal(parent, expect)
 
 
-def test_scalar_ordering_accepted():
-    g = worst_case_graph(2, 1, 2, 3)
-    system = synthesize_system(g, seed=0)
-    block = cholesky_count(system, [2, 0, 1])
-    scalar = cholesky_count(system, [4, 5, 6, 0, 1, 2, 3])
-    assert block.mult_count == scalar.mult_count
-    with pytest.raises(ValueError):
-        cholesky_count(system, [0, 1])
+@pytest.mark.parametrize("order", [[4, 5, 6, 0, 1, 2, 3], [0, 1]], ids=["scalar", "short"])
+def test_non_variable_ordering_rejected(order):
+    system = synthesize_system(worst_case_graph(2, 1, 2, 3), seed=0)
+    with pytest.raises(ValueError, match="^ordering is not a permutation of the 3 variable ids$"):
+        cholesky_count(system, order)
 
 
 # -- pearson --------------------------------------------------------------------
