@@ -50,6 +50,7 @@ _EXPORTS = {
     ),
     "oracle": (
         "CholeskyCount",
+        "FactorCheckError",
         "NotPositiveDefiniteError",
         "SparseSystem",
         "cholesky_count",

@@ -6,7 +6,8 @@ what it runs: `report` reads a CSV and writes its summary and plot with
 the standard library alone, and numpy and the compute modules are loaded
 on first use by `gen` and `experiment`. Exit codes: 0 success, 1 bad
 input, 2 a bug, such as a `ValueError` from an experiment once its spec
-is built. Set GRAPHELIM_LOG=debug|info|... to control log verbosity.
+is built, or the oracle's `FactorCheckError`. Set
+GRAPHELIM_LOG=debug|info|... to control log verbosity.
 """
 
 from __future__ import annotations

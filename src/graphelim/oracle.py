@@ -7,13 +7,16 @@ graph's variable adjacency expanded to blocks. `cholesky_count` factors it
 under a variable ordering, multifrontally (Duff and Reid 1983; Liu 1992):
 one run of pivots per variable, read from the pattern permuted once, one
 dense front per fundamental supernode of runs, each by a LAPACK Cholesky
-and solve. It tallies pivot by pivot, from the fronts' widths, the
-multiplications of the scalar right-looking Cholesky, whose column scaling
-by the reciprocal root spends one division per pivot. No count comes from
-the elimination cost it is meant to check; the factor is checked
-numerically, and a nonpositive pivot is named by the scalar loop on the
-pivot block LAPACK refused. The fronts' (frontal, separator) dimensions
-are an independent check of the clique tree.
+and solve. Each front hands its parent its factor rows over its update
+set, and the parent subtracts all its children's Schur products in one
+product per stack of rows. It tallies pivot by pivot, from the fronts'
+widths, the multiplications of the scalar right-looking Cholesky, whose
+column scaling by the reciprocal root spends one division per pivot. No
+count comes from the elimination cost it is meant to check; the factor is
+checked numerically on every call (R^T R x against A x), and a
+nonpositive pivot is named by the scalar loop on the pivot block LAPACK
+refused. The fronts' (frontal, separator) dimensions are an independent
+check of the clique tree.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ class CholeskyCount:
         return tuple((r.shape[0], r.shape[1] - r.shape[0]) for _, r in self.factor)
 
 
+# synthesize_system finishes this many rows at a time; each of its
+# temporaries holds that many rows (1.1 MiB on the 1140-scalar desk frame)
+_SYNTH_ROWS = 128
+
+
 def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
     """Random SPD matrix on the graph's block sparsity pattern.
 
@@ -92,15 +100,22 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
 
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, size=(n, n))
-    # symmetrize, mask and set the diagonal row by row, in place: row i is
-    # complete once its upper part is mirrored, as earlier rows wrote the rest
-    for i in range(n):
-        upper = (values[i, i + 1:] + values[i + 1:, i]) / 2.0
-        upper[~pattern[i, i + 1:]] = 0.0
-        values[i, i + 1:] = upper
-        values[i + 1:, i] = upper
-        values[i, i] = 0.0
-        values[i, i] = np.abs(values[i]).sum() + 1.0
+    # symmetrize, mask and set the diagonal a block of rows at a time, in
+    # place. No earlier block writes the upper part of rows a..b or the
+    # lower part of columns a..b, so both still hold the raw draw; once the
+    # block's upper part is mirrored, its rows are complete
+    for a in range(0, n, _SYNTH_ROWS):
+        b = min(a + _SYNTH_ROWS, n)
+        block = values[a:b, a:] + values[a:, a:b].T
+        block /= 2.0
+        block[~pattern[a:b, a:]] = 0.0
+        values[a:b, a:] = block
+        values[a:, a:b] = block.T
+        del block  # one block-sized temporary at a time
+        rows = values[a:b]
+        diag = np.arange(b - a), np.arange(a, b)
+        rows[diag] = 0.0
+        rows[diag] = np.abs(rows).sum(axis=1) + 1.0
     return SparseSystem(values, pattern, tuple(dims))
 
 
@@ -143,13 +158,14 @@ def _fronts(
         rows = pattern[start:stop, start:]
         if not (rows == rows[0]).all():
             raise ValueError(f"pattern not block-structured at pivot {start}")
-        parts = [np.arange(start, stop), np.flatnonzero(rows[0]) + start]
+        marked = rows[0].copy()  # the front, as positions from `start`
+        marked[:p] = True
         for c in children[r]:
             # a child's update set must hold all of this run's pivots or none
             if updates[c].size < p or updates[c][p - 1] != stop - 1:
                 raise ValueError(f"pattern not block-structured at pivot {start}")
-            parts.append(updates[c])
-        front = np.unique(np.concatenate(parts))
+            marked[updates[c] - start] = True
+        front = np.flatnonzero(marked) + start
         update = front[p:]
         updates.append(update)
         parents.append(int(run_of[update[0]]) if update.size else -1)
@@ -172,19 +188,53 @@ def _fronts(
 # panels this small keep OpenBLAS's LAPACK on one thread: its threaded calls
 # on 100-250 pivots took 1 to over 40 ms each on a 2-core x86 VM
 _PANEL = 64
+# a front subtracts its children's products this many stacked factor rows
+# at a time, which bounds the stack at _STACK rows of the front's width
+_STACK = 256
+# the factor check's bound on |R^T R x - A x| / |A x|: a correct factor of a
+# synthesized system stays below 1e-14
+_CHECK_RTOL = 1e-10
+
+
+class FactorCheckError(RuntimeError):
+    """The factor does not reproduce the system it was computed from."""
 
 
 def _extend_add(parent: np.ndarray, rel: np.ndarray, update: np.ndarray) -> None:
     """parent[np.ix_(rel, rel)] += update for sorted, unique `rel`: a slice per
-    pair of its contiguous runs, or one scattered add past four runs."""
+    pair of its contiguous runs, or past four runs, the update's columns
+    scattered into rows as wide as the parent, which are added whole."""
     cuts = [0, *(np.flatnonzero(np.diff(rel) != 1) + 1).tolist(), rel.size]
     if len(cuts) > 5:
-        parent[rel[:, None], rel] += update
+        wide = np.zeros((rel.size, parent.shape[1]))
+        wide[:, rel] = update
+        parent[rel] += wide
         return
     runs = [(a, b, int(rel[a])) for a, b in zip(cuts, cuts[1:])]
     for a, b, i in runs:
         for c, d, j in runs:
             parent[i:i + b - a, j:j + d - c] += update[a:b, c:d]
+
+
+def _subtract_products(
+    front: np.ndarray, children: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> None:
+    """front -= W.T @ W, where W stacks each child's factor rows over its
+    update set, scattered into the front's columns by its `rel`, at most
+    `_STACK` rows at a time."""
+    total = sum(rows.shape[0] for rows, _ in children)
+    stack = np.zeros((min(total, _STACK), front.shape[0]))
+    k = 0
+    for rows, rel in children:
+        for a in range(0, rows.shape[0], _STACK):
+            piece = rows[a:a + _STACK]
+            if k + piece.shape[0] > stack.shape[0]:
+                front -= stack[:k].T @ stack[:k]
+                stack[:k] = 0.0
+                k = 0
+            stack[k:k + piece.shape[0], rel] = piece
+            k += piece.shape[0]
+    front -= stack[:k].T @ stack[:k]
 
 
 def _pivot_by_pivot(block: np.ndarray, start: int) -> np.ndarray:
@@ -210,13 +260,21 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     Each variable's scalars are eliminated together, as one run of pivots.
     A symbolic pass (`_fronts`) finds each front's index set and parent
     from the pattern, permuted once. The numeric pass visits the fronts in
-    elimination order. A front is a dense matrix over its index set: the
-    original rows of its pivots plus the update matrices its children
-    added into it.
+    elimination order. Each front hands its parent its factor rows over
+    its update set, and the parent subtracts all its children's Schur
+    products at once (`_subtract_products`), so a childless front is only
+    its pivots' original rows. A front with children is a dense matrix
+    over its index set: its pivots' original rows, less its children's
+    products, plus the update block of each child that had children of
+    its own, which holds the products of the deeper descendants and is
+    added into the parent's front (`_extend_add`) once that child is
+    factored.
     Each panel of at most `_PANEL` pivot rows takes one Cholesky of its
     diagonal block, one solve against that factor for the rest of its rows
-    and one product that updates the rest of the front. The Schur
-    complement is then added into the parent's front (`_extend_add`).
+    and one product that updates the front's later pivot rows.
+    Then `check_factor` compares R^T R x with A x for one fixed x that is
+    not constant, A read over the fronts' original rows, as factored, and
+    raises FactorCheckError past a relative residual of `_CHECK_RTOL`.
 
     Pivot j of a front of width f has d = f - j - 1 entries right of it,
     costing d + d(d+1)/2 multiplications and one division; the fill counts
@@ -230,43 +288,78 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     """
     perm = scalar_permutation(system, ordering)
     fronts = _fronts(
-        system.pattern[np.ix_(perm, perm)], [system.var_dims[v] for v in ordering]
+        system.pattern[perm][:, perm], [system.var_dims[v] for v in ordering]
     )
+    # the factor check's vector, and A x read from each front's original rows
+    x = np.linspace(1.0, 2.0, perm.size)
+    ax = np.zeros_like(x)
     pending: list[np.ndarray | None] = [None] * len(fronts)
+    handed: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in fronts]
     blocks = []
     mult = div = stored = 0
     for i, (index, p, parent, rel) in enumerate(fronts):
         f, start = index.size, int(index[0])
-        rows = system.values[np.ix_(perm[start:start + p], perm[index])]
+        rows = system.values.take(perm[start:start + p], 0).take(perm[index], 1)
+        ax[start:start + p] += rows @ x[index]
+        ax[index[p:]] += rows[:, p:].T @ x[start:start + p]
         m, pending[i] = pending[i], None
-        if m is None:
+        children, handed[i] = handed[i], []
+        if m is not None:
+            m[:p] += rows
+        elif children:
             # assigned, not added to zeros, so that a -0.0 pivot keeps its sign
             m = np.zeros((f, f))
             m[:p] = rows
         else:
-            m[:p] += rows
+            m = rows
+        if children:
+            _subtract_products(m, children)
         for a in range(0, p, _PANEL):
             b = min(a + _PANEL, p)
             try:
                 low = np.linalg.cholesky(m[a:b, a:b])
             except np.linalg.LinAlgError:
                 low = _pivot_by_pivot(m[a:b, a:b], start + a)
+            # zeros below the panel leave the pivot rows upper triangular
             m[a:b, a:b] = low.T
+            m[b:p, a:b] = 0.0
             if b < f:
                 m[a:b, b:] = rest = np.linalg.solve(low, m[a:b, b:])
-                m[b:, b:] -= rest.T @ rest
-        blocks.append((index, np.triu(m[:p])))
+                m[b:p, b:] -= rest[:, :p - b].T @ rest
+        r = m if m.shape[0] == p else m[:p].copy()
+        blocks.append((index, r))
         for d in range(f - 1, f - p - 1, -1):  # pivot j has d = f - j - 1
             mult += d + d * (d + 1) // 2
             div += 1
             stored += d
         if parent >= 0:
-            if pending[parent] is None:
-                pending[parent] = np.zeros((fronts[parent][0].size,) * 2)
-            _extend_add(pending[parent], rel, m[p:, p:])
+            handed[parent].append((r[:, p:], rel))
+            if children:
+                if pending[parent] is None:
+                    pending[parent] = np.zeros((fronts[parent][0].size,) * 2)
+                _extend_add(pending[parent], rel, m[p:, p:])
     pat = system.pattern
     original = (np.count_nonzero(pat) - np.count_nonzero(np.diagonal(pat))) // 2
-    return CholeskyCount(mult, div, stored - original, tuple(blocks), perm)
+    count = CholeskyCount(mult, div, stored - original, tuple(blocks), perm)
+    check_factor(count, x, ax)
+    return count
+
+
+def check_factor(count: CholeskyCount, x: np.ndarray, ax: np.ndarray) -> float:
+    """Relative residual |R^T R x - A x| / |A x| of a counted factorization,
+    given x and A x in elimination order; past `_CHECK_RTOL` it raises
+    FactorCheckError. R x and then R^T (R x) run front by front: a front's
+    rows of R x are its factor rows times x over its index set."""
+    z = np.zeros_like(x)
+    for index, r in count.factor:
+        z[index] += r.T @ (r @ x[index])
+    residual = float(np.linalg.norm(z - ax) / np.linalg.norm(ax))
+    if not residual <= _CHECK_RTOL:
+        raise FactorCheckError(
+            f"factor check failed: |R^T R x - A x| / |A x| = {residual:.3g}"
+            f" exceeds {_CHECK_RTOL:g}"
+        )
+    return residual
 
 
 def solve_with_factor(count: CholeskyCount, rhs: np.ndarray) -> np.ndarray:

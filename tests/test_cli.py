@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from graphelim import cli, experiment
+from graphelim import cli, experiment, oracle
 from graphelim.elimination import ORDERING_FUNCTIONS
 from graphelim.experiment import ExperimentSpec, WorstCaseParams
 from graphelim.oracle import NotPositiveDefiniteError
@@ -257,6 +257,16 @@ def test_failure_inside_a_validated_experiment_exits_two(tmp_path, monkeypatch, 
     assert cli.main(["experiment", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "internal error: nonpositive pivot -1 at elimination index 3\n"
+
+
+def test_failed_factor_check_exits_two(tmp_path, monkeypatch, capsys):
+    # fronts that skip their children's products factor the wrong matrix
+    monkeypatch.setattr(oracle, "_subtract_products", lambda front, children: None)
+    args = ["experiment", "--worst-case", "4", "6", "--policy", "full", "--oracle"]
+    assert cli.main([*args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: factor check failed: |R^T R x - A x| / |A x| = ")
+    assert err.endswith(" exceeds 1e-10\n")
 
 
 def test_manifest_with_null_record_exits_one(tmp_path, capsys):

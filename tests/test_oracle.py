@@ -8,16 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphelim import oracle
 from graphelim.cliquetree import build_clique_tree
 from graphelim.elimination import (
     min_degree_ordering,
     scalar_mult_count,
     simulate_elimination,
 )
+from graphelim.graph import Kind
 from graphelim.oracle import (
+    _PANEL,
+    _STACK,
+    FactorCheckError,
     NotPositiveDefiniteError,
     SparseSystem,
     _extend_add,
+    _fronts,
+    check_factor,
     cholesky_count,
     pearson_correlation,
     scalar_permutation,
@@ -32,6 +39,7 @@ from graphelim.simulate import (
 )
 
 from helpers import (
+    ReferenceGraph,
     complete_graph,
     dense_factor,
     path_graph,
@@ -270,20 +278,31 @@ def test_front_dims_equal_clique_tree(rng):
     )
 
 
+def _peak_memory_of_cholesky_count(system, order):
+    tracemalloc.start()
+    try:
+        cholesky_count(system, order)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_peak_memory_on_desk_frame_50():
     # min-degree eliminates most landmarks first, toward few parent poses:
     # updates held until their parent is factored peaked near 49 MiB here
     log = simulate_trajectory(default_config(seed=1, n_frames=150, landmark_count=80))
     g = build_graph(log.prefix(50))
     system = synthesize_system(g, seed=0)
-    order = min_degree_ordering(g)
-    tracemalloc.start()
-    try:
-        cholesky_count(system, order)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert _peak_memory_of_cholesky_count(system, min_degree_ordering(g)) < 16 * 2**20
+
+
+def test_peak_memory_on_worst_case_120x240():
+    # the 723-pivot root front takes the factor rows of 239 childless 3-pivot
+    # fronts: stacked _STACK rows at a time this peaked at 20.2 MiB, stacked
+    # all at once at 22.7 MiB
+    g = worst_case_graph(120, 240)
+    peak = _peak_memory_of_cholesky_count(synthesize_system(g), min_degree_ordering(g))
+    assert peak < 22 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
@@ -333,6 +352,115 @@ def test_failing_pivot_inside_merged_front_matches_reference(
         reference_cholesky_count(bad, order)
     assert str(got.value) == str(ref.value)
     assert str(got.value).endswith(f"elimination index {position}")
+
+
+def _children(fronts):
+    kids = [[] for _ in fronts]
+    for i, (_, _, parent, _) in enumerate(fronts):
+        if parent >= 0:
+            kids[parent].append(i)
+    return kids
+
+
+def _star():
+    # two poses and more landmark rows than one stack holds; every landmark is
+    # tied to pose 0, and the first half to pose 1 too, so a later stack's
+    # rows cover fewer columns than the first stack's rows did
+    n_l = _STACK // 3 + 1
+    g = ReferenceGraph()
+    g.add_variable(Kind.POSE, 6)
+    g.add_variable(Kind.POSE, 6)
+    for _ in range(n_l):
+        g.add_variable(Kind.LANDMARK, 3)
+    g.add_factor((0, 1))
+    for lm in range(2, n_l + 2):
+        g.add_factor((0, lm))
+        if lm < n_l // 2 + 2:
+            g.add_factor((1, lm))
+    return g.build(), [*range(2, n_l + 2), 0, 1]
+
+
+def _chain():
+    # a band: each variable is tied to the next two, so every front's update
+    # block holds its child's product on the variable after its own
+    g = ReferenceGraph()
+    for v in range(12):
+        g.add_variable(Kind.LANDMARK if v % 3 else Kind.POSE, 3 if v % 3 else 6)
+    for v in range(11):
+        g.add_factor((v, v + 1))
+        if v < 10:
+            g.add_factor((v, v + 2))
+    return g.build(), list(range(12))
+
+
+def _panels():
+    # landmarks 11-13 first, then poses 0-10 and landmark 14: a 69-pivot root
+    return worst_case_graph(11, 4), [11, 12, 13, *range(11), 14]
+
+
+def _star_shape(fronts, kids):
+    # the root takes more childless children's rows than one stack, over
+    # update sets of two sizes
+    rows = sum(fronts[c][1] for c in kids[-1])
+    sizes = {fronts[c][3].size for c in kids[-1]}
+    return rows > _STACK and len(sizes) == 2 and not any(kids[c] for c in kids[-1])
+
+
+def _chain_shape(fronts, kids):
+    # each front's one child has children of its own
+    return len(fronts) > 3 and all(kids[i] == [i - 1] for i in range(1, len(fronts)))
+
+
+def _panels_shape(fronts, kids):
+    # a root of several panels whose children are all childless
+    return fronts[-1][1] > _PANEL and kids[-1] and not any(kids[c] for c in kids[-1])
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [(_star, _star_shape), (_chain, _chain_shape), (_panels, _panels_shape)],
+    ids=["star", "chain", "panels"],
+)
+def test_front_shapes_match_reference(build, shape):
+    g, order = build()
+    system = synthesize_system(g, seed=3)
+    perm = scalar_permutation(system, order)
+    fronts = _fronts(
+        system.pattern[np.ix_(perm, perm)], [system.var_dims[v] for v in order]
+    )
+    assert shape(fronts, _children(fronts))
+    _assert_matches_reference(
+        cholesky_count(system, order), reference_cholesky_count(system, order)
+    )
+    for position in (system.n // 2, system.n - 1):
+        broken = system.values.copy()
+        broken[perm[position], perm[position]] = -0.5
+        bad = SparseSystem(broken, system.pattern, system.var_dims)
+        with pytest.raises(NotPositiveDefiniteError) as got:
+            cholesky_count(bad, order)
+        with pytest.raises(NotPositiveDefiniteError) as ref:
+            reference_cholesky_count(bad, order)
+        assert str(got.value) == str(ref.value)
+
+
+def test_factor_check_flags_one_corrupted_entry():
+    g = worst_case_graph(5, 8)
+    system = synthesize_system(g, seed=2)
+    count = cholesky_count(system, min_degree_ordering(g))
+    x = np.linspace(1.0, 2.0, system.n)
+    ax = permuted(system, count) @ x
+    assert check_factor(count, x, ax) <= 1e-14
+    count.factor[0][1][0, -1] += 1e-6
+    with pytest.raises(FactorCheckError, match=r"^factor check failed: .* exceeds 1e-10$"):
+        check_factor(count, x, ax)
+
+
+def test_factor_check_catches_a_dropped_extend_add(monkeypatch):
+    system = synthesize_system(_chain()[0], seed=3)
+    cholesky_count(system, list(range(12)))
+    monkeypatch.setattr(oracle, "_extend_add", lambda parent, rel, update: None)
+    with pytest.raises(FactorCheckError):
+        cholesky_count(system, list(range(12)))
 
 
 @st.composite
