@@ -4,19 +4,21 @@ The elimination-cost metrics are structural; this module provides the
 independent numeric side. `synthesize_system` builds a random symmetric
 positive-definite matrix whose scalar sparsity pattern is exactly the
 graph's variable adjacency expanded to blocks. `cholesky_count` factors it
-under a variable ordering, multifrontally (Duff and Reid 1983; Liu 1992):
-one run of pivots per variable, read from the pattern permuted once, one
-dense front per fundamental supernode of runs, each by a LAPACK Cholesky
-and solve. Each front hands its parent its factor rows over its update
-set, and the parent subtracts all its children's Schur products in one
-product per stack of rows. It tallies pivot by pivot, from the fronts'
-widths, the multiplications of the scalar right-looking Cholesky, whose
-column scaling by the reciprocal root spends one division per pivot. No
-count comes from the elimination cost it is meant to check; the factor is
-checked numerically on every call (R^T R x against A x), and a
-nonpositive pivot is named by the scalar loop on the pivot block LAPACK
-refused. The fronts' (frontal, separator) dimensions are an independent
-check of the clique tree.
+under a variable ordering, left-looking by supernodes (Ng and Peyton 1993):
+one run of pivots per variable, read from the pattern permuted once, and
+one front per fundamental supernode of runs, which holds only its pivot
+rows over its index set and is factored by LAPACK Cholesky and solve. A
+front's factor rows over its later columns wait on the front that owns the
+first of them; that front subtracts the products of all the rows waiting
+on it, one product per stack of rows, and passes each on, trimmed past its
+own pivots, to the front that owns the next column. It tallies pivot by
+pivot, from the fronts' widths, the multiplications of the scalar
+right-looking Cholesky, whose column scaling by the reciprocal root spends
+one division per pivot. No count comes from the elimination cost it is
+meant to check; the factor is checked numerically on every call (R^T R x
+against A x), and a nonpositive pivot is named by the scalar loop on the
+pivot block LAPACK refused. The fronts' (frontal, separator) dimensions
+are an independent check of the clique tree.
 """
 
 from __future__ import annotations
@@ -130,65 +132,52 @@ def scalar_permutation(system: SparseSystem, ordering: Sequence[int]) -> np.ndar
     return np.array(scalars, dtype=np.intp)
 
 
-def _fronts(
-    pattern: np.ndarray, dims: Sequence[int]
-) -> list[tuple[np.ndarray, int, int, np.ndarray | None]]:
-    """Symbolic pass: the fronts of the multifrontal factorization.
+def _fronts(pattern: np.ndarray, dims: Sequence[int]) -> list[tuple[np.ndarray, int]]:
+    """Symbolic pass: the fronts of the supernodal factorization.
 
     Reads only `pattern`, the system's pattern permuted by the ordering,
     whose r-th run of `dims[r]` consecutive scalars is the r-th variable
-    eliminated. A run's front is its pivots, the later entries of their
+    eliminated. A run's index set is its pivots, the later entries of their
     (shared) pattern row and its children's update sets; its update set is
-    the front minus its pivots, and its parent is the run that holds the
-    update set's smallest index. A run joins the front before it when it is
-    that front's parent, has no other child, and its own front equals that
-    update set (a fundamental supernode). Each front comes out as (index
-    set of sorted permuted positions, pivot count, parent front or -1,
-    positions of its update set within the parent's index set).
+    the index set minus its pivots (the structure of its columns of the
+    factor), and its parent is the run that holds the update set's smallest
+    index. A run joins the front before it when it is that front's parent,
+    has no other child, and its own index set equals that update set (a
+    fundamental supernode). Each front comes out as (index set of sorted
+    permuted positions, pivot count).
     """
     bounds = list(itertools.accumulate(dims, initial=0))
     run_of = np.repeat(np.arange(len(dims)), dims)
     children: list[list[int]] = [[] for _ in dims]
     updates: list[np.ndarray] = []
-    parents: list[int] = []
-    front_of: list[int] = []  # run -> front
-    fronts: list[list] = []  # [index set, pivot count, last run]
+    fronts: list[tuple[np.ndarray, int]] = []
     for r, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         p = stop - start
         rows = pattern[start:stop, start:]
         if not (rows == rows[0]).all():
             raise ValueError(f"pattern not block-structured at pivot {start}")
-        marked = rows[0].copy()  # the front, as positions from `start`
+        marked = rows[0].copy()  # the index set, as positions from `start`
         marked[:p] = True
         for c in children[r]:
             # a child's update set must hold all of this run's pivots or none
             if updates[c].size < p or updates[c][p - 1] != stop - 1:
                 raise ValueError(f"pattern not block-structured at pivot {start}")
             marked[updates[c] - start] = True
-        front = np.flatnonzero(marked) + start
-        update = front[p:]
-        updates.append(update)
-        parents.append(int(run_of[update[0]]) if update.size else -1)
-        if update.size:
-            children[parents[-1]].append(r)
-        if children[r] == [r - 1] and updates[r - 1].size == front.size:
-            fronts[-1][1] += p
-            fronts[-1][2] = r
+        index = np.flatnonzero(marked) + start
+        updates.append(index[p:])
+        if index.size > p:
+            children[int(run_of[index[p]])].append(r)
+        if children[r] == [r - 1] and updates[r - 1].size == index.size:
+            fronts[-1] = (fronts[-1][0], fronts[-1][1] + p)
         else:
-            fronts.append([front, p, r])
-        front_of.append(len(fronts) - 1)
-    out = []
-    for index, p, last in fronts:
-        parent = front_of[parents[last]] if parents[last] >= 0 else -1
-        rel = np.searchsorted(fronts[parent][0], updates[last]) if parent >= 0 else None
-        out.append((index, p, parent, rel))
-    return out
+            fronts.append((index, p))
+    return fronts
 
 
 # panels this small keep OpenBLAS's LAPACK on one thread: its threaded calls
 # on 100-250 pivots took 1 to over 40 ms each on a 2-core x86 VM
 _PANEL = 64
-# a front subtracts its children's products this many stacked factor rows
+# a front subtracts its descendants' products this many stacked factor rows
 # at a time, which bounds the stack at _STACK rows of the front's width
 _STACK = 256
 # the factor check's bound on |R^T R x - A x| / |A x|: a correct factor of a
@@ -200,41 +189,27 @@ class FactorCheckError(RuntimeError):
     """The factor does not reproduce the system it was computed from."""
 
 
-def _extend_add(parent: np.ndarray, rel: np.ndarray, update: np.ndarray) -> None:
-    """parent[np.ix_(rel, rel)] += update for sorted, unique `rel`: a slice per
-    pair of its contiguous runs, or past four runs, the update's columns
-    scattered into rows as wide as the parent, which are added whole."""
-    cuts = [0, *(np.flatnonzero(np.diff(rel) != 1) + 1).tolist(), rel.size]
-    if len(cuts) > 5:
-        wide = np.zeros((rel.size, parent.shape[1]))
-        wide[:, rel] = update
-        parent[rel] += wide
-        return
-    runs = [(a, b, int(rel[a])) for a, b in zip(cuts, cuts[1:])]
-    for a, b, i in runs:
-        for c, d, j in runs:
-            parent[i:i + b - a, j:j + d - c] += update[a:b, c:d]
-
-
 def _subtract_products(
-    front: np.ndarray, children: Sequence[tuple[np.ndarray, np.ndarray]]
+    front: np.ndarray, index: np.ndarray, tails: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> None:
-    """front -= W.T @ W, where W stacks each child's factor rows over its
-    update set, scattered into the front's columns by its `rel`, at most
-    `_STACK` rows at a time."""
-    total = sum(rows.shape[0] for rows, _ in children)
-    stack = np.zeros((min(total, _STACK), front.shape[0]))
+    """front -= W[:, :p].T @ W for a front of p pivot rows over `index`, where
+    W stacks each tail's factor rows, its columns scattered to where they
+    fall in `index`, at most `_STACK` rows at a time."""
+    p = front.shape[0]
+    total = sum(rows.shape[0] for _, rows in tails)
+    stack = np.zeros((min(total, _STACK), index.size))
     k = 0
-    for rows, rel in children:
+    for cols, rows in tails:
+        at = np.searchsorted(index, cols)
         for a in range(0, rows.shape[0], _STACK):
             piece = rows[a:a + _STACK]
             if k + piece.shape[0] > stack.shape[0]:
-                front -= stack[:k].T @ stack[:k]
+                front -= stack[:k, :p].T @ stack[:k]
                 stack[:k] = 0.0
                 k = 0
-            stack[k:k + piece.shape[0], rel] = piece
+            stack[k:k + piece.shape[0], at] = piece
             k += piece.shape[0]
-    front -= stack[:k].T @ stack[:k]
+    front -= stack[:k, :p].T @ stack[:k]
 
 
 def _pivot_by_pivot(block: np.ndarray, start: int) -> np.ndarray:
@@ -253,22 +228,21 @@ def _pivot_by_pivot(block: np.ndarray, start: int) -> np.ndarray:
 
 
 def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCount:
-    """Multifrontal sparse Cholesky under the variable ordering `ordering`,
-    tallying every scalar multiplication and division of the unblocked
-    scalar loop.
+    """Left-looking supernodal Cholesky under the variable ordering
+    `ordering`, tallying every scalar multiplication and division of the
+    unblocked scalar loop.
 
     Each variable's scalars are eliminated together, as one run of pivots.
-    A symbolic pass (`_fronts`) finds each front's index set and parent
-    from the pattern, permuted once. The numeric pass visits the fronts in
-    elimination order. Each front hands its parent its factor rows over
-    its update set, and the parent subtracts all its children's Schur
-    products at once (`_subtract_products`), so a childless front is only
-    its pivots' original rows. A front with children is a dense matrix
-    over its index set: its pivots' original rows, less its children's
-    products, plus the update block of each child that had children of
-    its own, which holds the products of the deeper descendants and is
-    added into the parent's front (`_extend_add`) once that child is
-    factored.
+    A symbolic pass (`_fronts`) finds each front's index set and pivot
+    count from the pattern, permuted once. The numeric pass visits the
+    fronts in elimination order. A front is its pivots' original rows over
+    its index set, less the products of the factor rows waiting on it
+    (`_subtract_products`), all of them at once. Once factored, the front
+    adds its own rows to those that waited on it, and each one whose
+    columns reach past the front's pivots waits next, trimmed to those
+    columns, on the front that owns the first of them. Every column a
+    descendant's rows touch at or after a pivot j lies in the structure of
+    column j, so each waiting row fits its front's index set.
     Each panel of at most `_PANEL` pivot rows takes one Cholesky of its
     diagonal block, one solve against that factor for the rest of its rows
     and one product that updates the front's later pivot rows.
@@ -290,30 +264,21 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     fronts = _fronts(
         system.pattern[perm][:, perm], [system.var_dims[v] for v in ordering]
     )
+    owner = np.repeat(np.arange(len(fronts)), [p for _, p in fronts])
     # the factor check's vector, and A x read from each front's original rows
     x = np.linspace(1.0, 2.0, perm.size)
     ax = np.zeros_like(x)
-    pending: list[np.ndarray | None] = [None] * len(fronts)
-    handed: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in fronts]
+    waiting: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in fronts]
     blocks = []
     mult = div = stored = 0
-    for i, (index, p, parent, rel) in enumerate(fronts):
+    for i, (index, p) in enumerate(fronts):
         f, start = index.size, int(index[0])
-        rows = system.values.take(perm[start:start + p], 0).take(perm[index], 1)
-        ax[start:start + p] += rows @ x[index]
-        ax[index[p:]] += rows[:, p:].T @ x[start:start + p]
-        m, pending[i] = pending[i], None
-        children, handed[i] = handed[i], []
-        if m is not None:
-            m[:p] += rows
-        elif children:
-            # assigned, not added to zeros, so that a -0.0 pivot keeps its sign
-            m = np.zeros((f, f))
-            m[:p] = rows
-        else:
-            m = rows
-        if children:
-            _subtract_products(m, children)
+        m = system.values.take(perm[start:start + p], 0).take(perm[index], 1)
+        ax[start:start + p] += m @ x[index]
+        ax[index[p:]] += m[:, p:].T @ x[start:start + p]
+        tails, waiting[i] = waiting[i], []  # drops the views once used
+        if tails:
+            _subtract_products(m, index, tails)
         for a in range(0, p, _PANEL):
             b = min(a + _PANEL, p)
             try:
@@ -326,18 +291,18 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
             if b < f:
                 m[a:b, b:] = rest = np.linalg.solve(low, m[a:b, b:])
                 m[b:p, b:] -= rest[:, :p - b].T @ rest
-        r = m if m.shape[0] == p else m[:p].copy()
-        blocks.append((index, r))
+        blocks.append((index, m))
         for d in range(f - 1, f - p - 1, -1):  # pivot j has d = f - j - 1
             mult += d + d * (d + 1) // 2
             div += 1
             stored += d
-        if parent >= 0:
-            handed[parent].append((r[:, p:], rel))
-            if children:
-                if pending[parent] is None:
-                    pending[parent] = np.zeros((fronts[parent][0].size,) * 2)
-                _extend_add(pending[parent], rel, m[p:, p:])
+        # every tail, this front's own rows included, moves on to the front
+        # that owns its first column past this front's pivots
+        tails.append((index, m))
+        for cols, rows in tails:
+            k = np.searchsorted(cols, start + p)
+            if k < cols.size:
+                waiting[owner[cols[k]]].append((cols[k:], rows[:, k:]))
     pat = system.pattern
     original = (np.count_nonzero(pat) - np.count_nonzero(np.diagonal(pat))) // 2
     count = CholeskyCount(mult, div, stored - original, tuple(blocks), perm)

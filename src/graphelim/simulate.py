@@ -131,8 +131,14 @@ def from_json_object(cls, data, name: str):
 
 
 def to_json(obj) -> str:
-    """A record, or a dict of records, as sorted, indented JSON text with a final LF."""
-    return json.dumps(obj, default=asdict, indent=2, sort_keys=True) + "\n"
+    """A record, or a dict of records, as sorted, indented JSON text with a final LF.
+
+    An infinite limit is written as 1e999, a JSON number that reads back as
+    infinity, since RFC 8259 has no `Infinity`. The only strings a record
+    holds are validated policy and ordering names, so no string is rewritten.
+    """
+    text = json.dumps(obj, default=asdict, indent=2, sort_keys=True)
+    return text.replace("Infinity", "1e999") + "\n"
 
 
 def default_config(

@@ -260,7 +260,7 @@ def reference_cholesky_count(
 ) -> CholeskyCount:
     """Scalar right-looking Cholesky: one gather and scatter per pivot.
 
-    The unblocked loop the multifrontal `cholesky_count` must agree with
+    The unblocked loop the supernodal `cholesky_count` must agree with
     exactly: same counts, same error index, same factor. Its factor is one
     front over every position, holding the dense R.
     """

@@ -12,7 +12,7 @@ from graphelim.experiment import ExperimentSpec, WorstCaseParams
 from graphelim.oracle import NotPositiveDefiniteError
 from graphelim.pruning import POLICY_NAMES
 from graphelim.report import CSV_HEADER
-from graphelim.simulate import SimConfig, default_config, from_json_object
+from graphelim.simulate import SimConfig, default_config, from_json_object, to_json
 
 
 def run_cli(*args, cwd=None):
@@ -241,6 +241,23 @@ def test_gen_worst_case_manifest_bytes(tmp_path):
     assert _sha256(manifest) == "c8812e09822c81ec58b8bd2e4c7704ba73d4927597bf7be2fe0c231a7e70c107"
 
 
+def test_gen_infinite_range_writes_strict_json(tmp_path):
+    # RFC 8259 has no Infinity, so an infinite limit is written as 1e999
+    args = ["gen", "--frames", "20", "--landmarks", "10", "--range", "inf"]
+    assert cli.main([*args, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "manifest.json").read_text(encoding="utf-8")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    cfg = from_json_object(SimConfig, json.loads(text, parse_constant=reject), "simulation config")
+    assert cfg.visibility.max_range == math.inf
+    assert to_json(cfg) == text
+    # a manifest written before, with the limit spelt Infinity, still loads
+    old = json.loads(text.replace("1e999", "Infinity"))
+    assert from_json_object(SimConfig, old, "simulation config") == cfg
+
+
 def test_experiment_defaults_are_spec_defaults(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "run_experiment", lambda spec: [])
     assert cli.main(["experiment", "--out", str(tmp_path)]) == 0
@@ -260,8 +277,8 @@ def test_failure_inside_a_validated_experiment_exits_two(tmp_path, monkeypatch, 
 
 
 def test_failed_factor_check_exits_two(tmp_path, monkeypatch, capsys):
-    # fronts that skip their children's products factor the wrong matrix
-    monkeypatch.setattr(oracle, "_subtract_products", lambda front, children: None)
+    # fronts that skip their descendants' products factor the wrong matrix
+    monkeypatch.setattr(oracle, "_subtract_products", lambda front, index, tails: None)
     args = ["experiment", "--worst-case", "4", "6", "--policy", "full", "--oracle"]
     assert cli.main([*args, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
