@@ -55,7 +55,6 @@ _EXPORTS = {
         "SparseSystem",
         "cholesky_count",
         "pearson_correlation",
-        "solve_with_factor",
         "synthesize_system",
     ),
     "pruning": (

@@ -2,10 +2,10 @@
 
 The elimination-cost metrics are structural; this module provides the
 independent numeric side. `synthesize_system` builds a random symmetric
-positive-definite matrix whose scalar sparsity pattern is exactly the
-graph's variable adjacency expanded to blocks. `cholesky_count` factors it
+positive-definite matrix on a graph, nonzero exactly where the graph's
+variable adjacency, expanded to blocks, says. `cholesky_count` factors it
 under a variable ordering, left-looking by supernodes (Ng and Peyton 1993):
-one run of pivots per variable, read from the pattern permuted once, and
+one run of pivots per variable, with its structure read from the graph, and
 one front per fundamental supernode of runs, which holds only its pivot
 rows over its index set and is factored by LAPACK Cholesky and solve. A
 front's factor rows over its later columns wait on the front that owns the
@@ -39,22 +39,17 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Dense-stored sparse SPD system with block layout metadata."""
+    """Dense-stored SPD system on a graph's block pattern: variable v owns
+    the next `dims[v]` scalars after variables 0..v-1, and the block of two
+    distinct variables is zero unless they are adjacent."""
 
-    values: np.ndarray  # (n, n) float64, zero off-pattern
-    pattern: np.ndarray  # (n, n) bool
-    var_dims: tuple[int, ...]
+    values: np.ndarray  # (n, n) float64, n the sum of the graph's dims
+    graph: FactorGraph
 
     def __post_init__(self) -> None:
-        for v, d in enumerate(self.var_dims):
-            if d < 1:
-                raise ValueError(f"var_dims[{v}] must be >= 1, got {d}")
-        n = sum(self.var_dims)
-        if self.values.shape != (n, n) or self.pattern.shape != (n, n):
-            raise ValueError(
-                f"var_dims sum to {n}, but values are {self.values.shape}"
-                f" and pattern is {self.pattern.shape}"
-            )
+        n = sum(self.graph.dims)
+        if self.values.shape != (n, n):
+            raise ValueError(f"the graph's dims sum to {n}, but values are {self.values.shape}")
 
     @property
     def n(self) -> int:
@@ -93,12 +88,11 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
     """
     if graph.n_vars == 0:
         raise ValueError("cannot synthesize a system for an empty graph")
-    dims = graph.dims
     adjacent = np.eye(graph.n_vars, dtype=bool)
     for v in range(graph.n_vars):
         adjacent[v, list(graph.neighbors(v))] = True
-    pattern = adjacent.repeat(dims, 0).repeat(dims, 1)
-    n = pattern.shape[0]
+    var_of = np.repeat(np.arange(graph.n_vars), graph.dims)
+    n = var_of.size
 
     rng = np.random.default_rng(seed)
     values = rng.uniform(-1.0, 1.0, size=(n, n))
@@ -110,7 +104,7 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
         b = min(a + _SYNTH_ROWS, n)
         block = values[a:b, a:] + values[a:, a:b].T
         block /= 2.0
-        block[~pattern[a:b, a:]] = 0.0
+        block[~adjacent[var_of[a:b]][:, var_of[a:]]] = 0.0
         values[a:b, a:] = block
         values[a:, a:b] = block.T
         del block  # one block-sized temporary at a time
@@ -118,59 +112,57 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
         diag = np.arange(b - a), np.arange(a, b)
         rows[diag] = 0.0
         rows[diag] = np.abs(rows).sum(axis=1) + 1.0
-    return SparseSystem(values, pattern, tuple(dims))
+    return SparseSystem(values, graph)
 
 
 def scalar_permutation(system: SparseSystem, ordering: Sequence[int]) -> np.ndarray:
     """Expand a variable ordering to scalar indices: each variable's
     scalars, in their own order, at its turn."""
-    n_vars = len(system.var_dims)
-    if len(ordering) != n_vars or set(ordering) != set(range(n_vars)):
-        raise ValueError(f"ordering is not a permutation of the {n_vars} variable ids")
-    starts = list(itertools.accumulate(system.var_dims, initial=0))
+    dims = system.graph.dims
+    if len(ordering) != len(dims) or set(ordering) != set(range(len(dims))):
+        raise ValueError(f"ordering is not a permutation of the {len(dims)} variable ids")
+    starts = list(itertools.accumulate(dims, initial=0))
     scalars = [i for v in ordering for i in range(starts[v], starts[v + 1])]
     return np.array(scalars, dtype=np.intp)
 
 
-def _fronts(pattern: np.ndarray, dims: Sequence[int]) -> list[tuple[np.ndarray, int]]:
+def _fronts(graph: FactorGraph, ordering: Sequence[int]) -> list[tuple[np.ndarray, int]]:
     """Symbolic pass: the fronts of the supernodal factorization.
 
-    Reads only `pattern`, the system's pattern permuted by the ordering,
-    whose r-th run of `dims[r]` consecutive scalars is the r-th variable
-    eliminated. A run's index set is its pivots, the later entries of their
-    (shared) pattern row and its children's update sets; its update set is
-    the index set minus its pivots (the structure of its columns of the
-    factor), and its parent is the run that holds the update set's smallest
-    index. A run joins the front before it when it is that front's parent,
-    has no other child, and its own index set equals that update set (a
-    fundamental supernode). Each front comes out as (index set of sorted
-    permuted positions, pivot count).
+    Runs over variables: the r-th run is `ordering[r]`'s pivots, the r-th
+    block of consecutive permuted positions. A run's variables are itself,
+    its neighbours later in the ordering and its children's update
+    variables; its index set is their scalars' positions, its update
+    variables are all but itself (the structure of its columns of the
+    factor), and its parent is the first update variable. A run joins the
+    front before it when it is that front's parent, has no other child,
+    and its variables are that front's update variables (a fundamental
+    supernode). Each front comes out as (index set of sorted permuted
+    positions, pivot count).
     """
+    dims = [graph.dims[v] for v in ordering]
     bounds = list(itertools.accumulate(dims, initial=0))
-    run_of = np.repeat(np.arange(len(dims)), dims)
+    pos = np.empty(len(dims), dtype=np.intp)
+    pos[ordering] = np.arange(len(dims))
     children: list[list[int]] = [[] for _ in dims]
-    updates: list[np.ndarray] = []
+    updates: list[np.ndarray] = []  # each run's update variables, as positions
     fronts: list[tuple[np.ndarray, int]] = []
-    for r, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-        p = stop - start
-        rows = pattern[start:stop, start:]
-        if not (rows == rows[0]).all():
-            raise ValueError(f"pattern not block-structured at pivot {start}")
-        marked = rows[0].copy()  # the index set, as positions from `start`
-        marked[:p] = True
+    for r, v in enumerate(ordering):
+        marked = np.zeros(len(dims) - r, dtype=bool)  # positions from r
+        marked[0] = True
+        later = pos[list(graph.neighbors(v))]
+        marked[later[later > r] - r] = True
         for c in children[r]:
-            # a child's update set must hold all of this run's pivots or none
-            if updates[c].size < p or updates[c][p - 1] != stop - 1:
-                raise ValueError(f"pattern not block-structured at pivot {start}")
-            marked[updates[c] - start] = True
-        index = np.flatnonzero(marked) + start
-        updates.append(index[p:])
-        if index.size > p:
-            children[int(run_of[index[p]])].append(r)
-        if children[r] == [r - 1] and updates[r - 1].size == index.size:
-            fronts[-1] = (fronts[-1][0], fronts[-1][1] + p)
+            marked[updates[c] - r] = True
+        update = np.flatnonzero(marked[1:]) + r + 1
+        updates.append(update)
+        if update.size:
+            children[update[0]].append(r)
+        if children[r] == [r - 1] and updates[r - 1].size == update.size + 1:
+            fronts[-1] = (fronts[-1][0], fronts[-1][1] + dims[r])
         else:
-            fronts.append((index, p))
+            index = np.flatnonzero(np.repeat(marked, dims[r:])) + bounds[r]
+            fronts.append((index, dims[r]))
     return fronts
 
 
@@ -234,9 +226,9 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
 
     Each variable's scalars are eliminated together, as one run of pivots.
     A symbolic pass (`_fronts`) finds each front's index set and pivot
-    count from the pattern, permuted once. The numeric pass visits the
-    fronts in elimination order. A front is its pivots' original rows over
-    its index set, less the products of the factor rows waiting on it
+    count from the graph. The numeric pass visits the fronts in
+    elimination order. A front is its pivots' original rows over its index
+    set, less the products of the factor rows waiting on it
     (`_subtract_products`), all of them at once. Once factored, the front
     adds its own rows to those that waited on it, and each one whose
     columns reach past the front's pivots waits next, trimmed to those
@@ -253,17 +245,13 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     Pivot j of a front of width f has d = f - j - 1 entries right of it,
     costing d + d(d+1)/2 multiplications and one division; the fill counts
     the factor entries stored beyond the original pattern. Both come from
-    the pattern alone, however pivots are grouped into fronts. A pattern
-    whose variables do not share one pattern row, or whose elimination
-    would split a variable's pivots, raises ValueError, as does an ordering
-    that is not a permutation of the variable ids. When a panel's
-    Cholesky fails, the scalar loop on that block alone raises
+    the graph alone, however pivots are grouped into fronts. An ordering
+    that is not a permutation of the variable ids raises ValueError. When
+    a panel's Cholesky fails, the scalar loop on that block alone raises
     NotPositiveDefiniteError naming the first nonpositive pivot.
     """
     perm = scalar_permutation(system, ordering)
-    fronts = _fronts(
-        system.pattern[perm][:, perm], [system.var_dims[v] for v in ordering]
-    )
+    fronts = _fronts(system.graph, ordering)
     owner = np.repeat(np.arange(len(fronts)), [p for _, p in fronts])
     # the factor check's vector, and A x read from each front's original rows
     x = np.linspace(1.0, 2.0, perm.size)
@@ -303,9 +291,15 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
             k = np.searchsorted(cols, start + p)
             if k < cols.size:
                 waiting[owner[cols[k]]].append((cols[k:], rows[:, k:]))
-    pat = system.pattern
-    original = (np.count_nonzero(pat) - np.count_nonzero(np.diagonal(pat))) // 2
-    count = CholeskyCount(mult, div, stored - original, tuple(blocks), perm)
+    # the original pattern's entries, read off the graph; half the
+    # off-diagonal ones lie above the diagonal
+    dims = system.graph.dims
+    nnz = sum(
+        d * (d + sum(dims[u] for u in system.graph.neighbors(v)))
+        for v, d in enumerate(dims)
+    )
+    fill = stored - (nnz - perm.size) // 2
+    count = CholeskyCount(mult, div, fill, tuple(blocks), perm)
     check_factor(count, x, ax)
     return count
 
@@ -325,29 +319,6 @@ def check_factor(count: CholeskyCount, x: np.ndarray, ax: np.ndarray) -> float:
             f" exceeds {_CHECK_RTOL:g}"
         )
     return residual
-
-
-def solve_with_factor(count: CholeskyCount, rhs: np.ndarray) -> np.ndarray:
-    """Solve the original system given a counted factorization of it.
-
-    R^T y = b runs front by front in elimination order, R x = y in
-    reverse; each front solves its pivots' triangle and passes the rest of
-    its rows on.
-    """
-    perm = count.scalar_order
-    y = np.array(rhs[perm], dtype=float)
-    for index, r in count.factor:
-        p = r.shape[0]
-        pivots, rest = index[:p], index[p:]
-        y[pivots] = np.linalg.solve(r[:, :p].T, y[pivots])
-        y[rest] -= r[:, p:].T @ y[pivots]
-    for index, r in reversed(count.factor):
-        p = r.shape[0]
-        pivots, rest = index[:p], index[p:]
-        y[pivots] = np.linalg.solve(r[:, :p], y[pivots] - r[:, p:] @ y[rest])
-    x = np.empty_like(y)
-    x[perm] = y
-    return x
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

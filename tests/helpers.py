@@ -255,6 +255,15 @@ def count_spanning_trees(n: int, edges) -> int:
     return count
 
 
+def scalar_pattern(graph: FactorGraph) -> np.ndarray:
+    """The graph's scalar sparsity pattern: its variable adjacency, with
+    each variable adjacent to itself, repeated into dim x dim blocks."""
+    adjacent = np.eye(graph.n_vars, dtype=bool)
+    for v in range(graph.n_vars):
+        adjacent[v, list(graph.neighbors(v))] = True
+    return adjacent.repeat(graph.dims, 0).repeat(graph.dims, 1)
+
+
 def reference_cholesky_count(
     system: SparseSystem, ordering: Sequence[int]
 ) -> CholeskyCount:
@@ -266,7 +275,7 @@ def reference_cholesky_count(
     """
     perm = scalar_permutation(system, ordering)
     val = system.values[np.ix_(perm, perm)].copy()
-    pat = system.pattern[np.ix_(perm, perm)].copy()
+    pat = scalar_pattern(system.graph)[np.ix_(perm, perm)]
     n = system.n
     factor = np.zeros((n, n))
     mult = 0

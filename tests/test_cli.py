@@ -423,7 +423,7 @@ _PACKAGE_EXPORTS = (
     "predicted_ec_keyframe", "prune_decimate", "prune_keyframe", "prune_random",
     "prune_tgreedy", "read_report_csv", "rows_to_csv", "run_experiment", "save_graph",
     "save_log", "save_ordering", "scalar_mult_count", "simulate_elimination",
-    "simulate_trajectory", "solve_with_factor", "summarize", "synthesize_system",
+    "simulate_trajectory", "summarize", "synthesize_system",
     "to_json", "trace_to_csv", "worst_case_graph", "worst_case_log", "write_report_csv",
 )
 
