@@ -37,7 +37,7 @@ _EXPORTS = {
         "simulate_elimination",
         "trace_to_csv",
     ),
-    "experiment": ("ExperimentSpec", "WorstCaseParams", "run_experiment"),
+    "experiment": ("ExperimentSpec", "run_experiment"),
     "graph": (
         "Factor",
         "FactorGraph",
@@ -84,6 +84,7 @@ _EXPORTS = {
         "SimConfig",
         "Trajectory",
         "Visibility",
+        "WorstCaseParams",
         "build_graph",
         "default_config",
         "from_json_object",

@@ -3,10 +3,10 @@
 The CLI adds no computation of its own; every CSV row it writes is
 re-derivable by calling the library directly. Each command imports only
 what it runs: `report` reads a CSV and writes its summary and plot with
-the standard library alone, and numpy and the compute modules are loaded
-on first use by `gen` and `experiment`. Exit codes: 0 success, 1 bad
-input, 2 a bug, such as a `ValueError` from an experiment once its spec
-is built, or the oracle's `FactorCheckError`. Set
+the standard library alone, `gen` adds numpy, `graph` and `simulate`
+only, and `experiment` adds the compute modules too. Exit codes: 0
+success, 1 bad input, 2 a bug, such as a `ValueError` from an experiment
+once its spec is built, or the oracle's `FactorCheckError`. Set
 GRAPHELIM_LOG=debug|info|... to control log verbosity.
 """
 
@@ -34,14 +34,15 @@ from .report import (
 # parser imports no numpy; a test pins the two equal
 ORDERING_NAMES = ("landmark_first", "min_degree", "natural")
 
-# The numpy side: what `gen` and `experiment` use of `simulate`, then
-# `save_graph` and `exp`, the experiment module. `_import_numpy_side` binds
-# them here on those commands' first use, so `report` starts without numpy.
-# Each stays an attribute of this module, looked up at call time, so a caller
-# may rebind one before `main` runs.
+# The numpy side: what `gen` and `experiment` use of `graph` and `simulate`.
+# `_import_numpy_side` binds it here on those commands' first use, so `report`
+# starts without numpy, and `gen` without the experiment's compute modules. Each
+# name stays an attribute of this module, looked up at call time, so a caller may
+# rebind one before `main` runs.
 _SIMULATE_NAMES = (
     "Region",
     "SimConfig",
+    "WorstCaseParams",
     "default_config",
     "from_json_object",
     "save_log",
@@ -50,17 +51,16 @@ _SIMULATE_NAMES = (
     "worst_case_graph",
     "worst_case_log",
 )
-_NUMPY_SIDE = ("exp", "save_graph", *_SIMULATE_NAMES)
+_NUMPY_SIDE = ("save_graph", *_SIMULATE_NAMES)
 
 
 def _import_numpy_side() -> None:
     """Bind the `_NUMPY_SIDE` names here, keeping any a caller has rebound."""
-    from . import experiment, graph, simulate
+    from . import graph, simulate
 
-    found = {"exp": experiment, "save_graph": graph.save_graph}
-    found.update((name, getattr(simulate, name)) for name in _SIMULATE_NAMES)
-    for name, value in found.items():
-        globals().setdefault(name, value)
+    globals().setdefault("save_graph", graph.save_graph)
+    for name in _SIMULATE_NAMES:
+        globals().setdefault(name, getattr(simulate, name))
 
 
 def __getattr__(name: str):
@@ -156,10 +156,10 @@ def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
     )
 
 
-def _worst_case_from_args(args: argparse.Namespace) -> exp.WorstCaseParams:
+def _worst_case_from_args(args: argparse.Namespace) -> WorstCaseParams:
     _reject_options(args, "--worst-case", args.sim_options)
     n_x, n_l = args.worst_case
-    return exp.WorstCaseParams(n_x, n_l, **_given(args, d_x="d_x", d_l="d_l"))
+    return WorstCaseParams(n_x, n_l, **_given(args, d_x="d_x", d_l="d_l"))
 
 
 def _build_parser() -> _Parser:
@@ -235,9 +235,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
-    sim = None
-    worst_case = None
+def _source_from_args(args: argparse.Namespace) -> dict:
+    """The spec's source as the one keyword that sets it: `sim` or `worst_case`."""
     if args.manifest is not None:
         dims = {"--d-x": "d_x", "--d-l": "d_l"}
         _reject_options(
@@ -250,31 +249,30 @@ def _spec_from_args(args: argparse.Namespace) -> exp.ExperimentSpec:
             unknown = sorted(set(data) - {"worst_case"})
             if unknown:
                 raise ValueError(f"unknown worst-case manifest keys {unknown}")
-            worst_case = from_json_object(exp.WorstCaseParams, data["worst_case"], "worst_case")
-        else:
-            sim = from_json_object(SimConfig, data, "simulation config")
-    elif args.worst_case:
-        worst_case = _worst_case_from_args(args)
-    else:
-        sim = _sim_config_from_args(args)
-    return exp.ExperimentSpec(
-        sim=sim,
-        worst_case=worst_case,
+            params = from_json_object(WorstCaseParams, data["worst_case"], "worst_case")
+            return {"worst_case": params}
+        return {"sim": from_json_object(SimConfig, data, "simulation config")}
+    if args.worst_case:
+        return {"worst_case": _worst_case_from_args(args)}
+    return {"sim": _sim_config_from_args(args)}
+
+
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    from . import experiment  # imported here, so that `gen` never loads it
+
+    _import_numpy_side()
+    spec = experiment.ExperimentSpec(
+        **_source_from_args(args),
         **_given(
             args, policy="policies", rate="rates", seed="seeds", ordering="ordering",
             oracle="oracle", stride="frame_stride",
         ),
     )
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    _import_numpy_side()
-    spec = _spec_from_args(args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     (out / "spec.json").write_text(to_json(spec), encoding="utf-8", newline="\n")
     try:
-        rows = exp.run_experiment(spec)
+        rows = experiment.run_experiment(spec)
     except ValueError as exc:  # the spec is valid, so this is a bug: exit 2
         raise RuntimeError(exc) from exc
     write_report_csv(rows, out / "report.csv")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .graph import FactorGraph, Kind
+from .graph import FactorGraph, Kind, check_ordering
 from .report import ParseError
 
 BRUTE_FORCE_LIMIT = 10
@@ -59,18 +59,11 @@ class EliminationTrace:
         return out
 
 
-def _check_ordering(graph: FactorGraph, ordering: Sequence[int]) -> None:
-    if len(ordering) != graph.n_vars or set(ordering) != set(range(graph.n_vars)):
-        raise ValueError(
-            f"ordering is not a permutation of the {graph.n_vars} variable ids"
-        )
-
-
 def simulate_elimination(
     graph: FactorGraph, ordering: Sequence[int]
 ) -> EliminationTrace:
     """Run node elimination under `ordering`, recording separators and fill."""
-    _check_ordering(graph, ordering)
+    check_ordering(graph, ordering)
     adj = graph.adjacency()
     dims = graph.dims
     steps: list[Step] = []
@@ -107,7 +100,7 @@ def elimination_tree(graph: FactorGraph, ordering: Sequence[int]) -> Elimination
     which becomes or joins its parent's union in turn, so the only copy of a
     separator is the frozen one returned.
     """
-    _check_ordering(graph, ordering)
+    check_ordering(graph, ordering)
     pos = {v: i for i, v in enumerate(ordering)}
     alive = set(range(graph.n_vars))
     dims = graph.dims

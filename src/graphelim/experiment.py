@@ -28,10 +28,9 @@ from .pruning import (
 )
 from .report import POLICY_NAMES, _ROW_ORDER, ReportRow
 from .simulate import (
-    DEFAULT_LANDMARK_DIM,
-    DEFAULT_POSE_DIM,
     ObservationLog,
     SimConfig,
+    WorstCaseParams,
     build_graph,
     check_int,
     simulate_trajectory,
@@ -39,18 +38,6 @@ from .simulate import (
 )
 
 log = logging.getLogger("graphelim.experiment")
-
-
-@dataclass(frozen=True)
-class WorstCaseParams:
-    n_x: int
-    n_l: int
-    d_x: int = DEFAULT_POSE_DIM
-    d_l: int = DEFAULT_LANDMARK_DIM
-
-    def __post_init__(self) -> None:
-        for name, low in (("n_x", 1), ("n_l", 0), ("d_x", 1), ("d_l", 1)):
-            check_int(f"worst_case.{name}", getattr(self, name), low)
 
 
 @dataclass(frozen=True)
@@ -96,6 +83,9 @@ def _source_log(spec: ExperimentSpec) -> tuple[ObservationLog, int, int, int]:
         return simulate_trajectory(cfg), cfg.d_x, cfg.d_l, cfg.min_obs_to_init
     wc = spec.worst_case
     assert wc is not None
+    # a landmark enters on its second sighting, but `worst_case_graph` (gen's graph.txt)
+    # takes it on its first: frame 0 is the lone pose, and from frame 1 on every
+    # landmark is in, so the last frame is graph.txt when n_x >= 2
     return worst_case_log(wc.n_x, wc.n_l), wc.d_x, wc.d_l, 2
 
 

@@ -13,6 +13,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import pairwise
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -137,6 +138,12 @@ class FactorGraph:
     def __repr__(self) -> str:
         return (f"FactorGraph({self.n_vars} vars: {self.n_poses} poses,"
                 f" {self.n_landmarks} landmarks; {self.n_factors} factors)")
+
+
+def check_ordering(graph: FactorGraph, ordering: Sequence[int]) -> None:
+    """Reject an ordering that is not a permutation of the graph's variable ids."""
+    if len(ordering) != graph.n_vars or set(ordering) != set(range(graph.n_vars)):
+        raise ValueError(f"ordering is not a permutation of the {graph.n_vars} variable ids")
 
 
 # -- file I/O ------------------------------------------------------------

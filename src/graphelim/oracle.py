@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import FactorGraph
+from .graph import FactorGraph, check_ordering
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -118,10 +118,8 @@ def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
 def scalar_permutation(system: SparseSystem, ordering: Sequence[int]) -> np.ndarray:
     """Expand a variable ordering to scalar indices: each variable's
     scalars, in their own order, at its turn."""
-    dims = system.graph.dims
-    if len(ordering) != len(dims) or set(ordering) != set(range(len(dims))):
-        raise ValueError(f"ordering is not a permutation of the {len(dims)} variable ids")
-    starts = list(itertools.accumulate(dims, initial=0))
+    check_ordering(system.graph, ordering)
+    starts = list(itertools.accumulate(system.graph.dims, initial=0))
     scalars = [i for v in ordering for i in range(starts[v], starts[v + 1])]
     return np.array(scalars, dtype=np.intp)
 

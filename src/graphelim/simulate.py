@@ -94,6 +94,18 @@ class SimConfig:
             raise ValueError("visibility parameters must be nonnegative")
 
 
+@dataclass(frozen=True)
+class WorstCaseParams:
+    n_x: int
+    n_l: int
+    d_x: int = DEFAULT_POSE_DIM
+    d_l: int = DEFAULT_LANDMARK_DIM
+
+    def __post_init__(self) -> None:
+        for name, low in (("n_x", 1), ("n_l", 0), ("d_x", 1), ("d_l", 1)):
+            check_int(f"worst_case.{name}", getattr(self, name), low)
+
+
 def check_int(name: str, value, low: int) -> None:
     """Reject a non-integer (bools included) or one below `low`, naming the field."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
@@ -213,10 +225,7 @@ def worst_case_graph(
     non-consecutive pose-pose factors exist. It is the graph of
     `worst_case_log` with every landmark initialized on its first sighting.
     """
-    if n_x < 1:
-        raise ValueError("need at least one pose")
-    if n_l < 0:
-        raise ValueError("landmark count must be >= 0")
+    WorstCaseParams(n_x, n_l, d_x, d_l)  # rejects a bad size, naming it
     return build_graph(worst_case_log(n_x, n_l), d_x, d_l, min_obs_to_init=1)
 
 

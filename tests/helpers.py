@@ -10,13 +10,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from graphelim.cliquetree import Clique, CliqueTree
-from graphelim.elimination import (
-    BRUTE_FORCE_LIMIT,
-    EliminationTrace,
-    Step,
-    _check_ordering,
-)
-from graphelim.graph import Factor, FactorGraph, Kind, Variable
+from graphelim.elimination import BRUTE_FORCE_LIMIT, EliminationTrace, Step
+from graphelim.graph import Factor, FactorGraph, Kind, Variable, check_ordering
 from graphelim.oracle import (
     CholeskyCount,
     NotPositiveDefiniteError,
@@ -603,7 +598,7 @@ def reference_simulate_elimination(
 
     The reference for `simulate_elimination`; traces must be equal.
     """
-    _check_ordering(graph, ordering)
+    check_ordering(graph, ordering)
     adj = graph.adjacency()
     dims = graph.dims
     steps: list[Step] = []

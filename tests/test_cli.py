@@ -8,11 +8,17 @@ import pytest
 
 from graphelim import cli, experiment, oracle
 from graphelim.elimination import ORDERING_FUNCTIONS
-from graphelim.experiment import ExperimentSpec, WorstCaseParams
+from graphelim.experiment import ExperimentSpec
 from graphelim.oracle import NotPositiveDefiniteError
 from graphelim.pruning import POLICY_NAMES
 from graphelim.report import CSV_HEADER
-from graphelim.simulate import SimConfig, default_config, from_json_object, to_json
+from graphelim.simulate import (
+    SimConfig,
+    WorstCaseParams,
+    default_config,
+    from_json_object,
+    to_json,
+)
 
 
 def run_cli(*args, cwd=None):
@@ -450,3 +456,24 @@ assert graphelim.graph.ParseError is graphelim.ParseError
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.csv").is_file() and (out / "report.svg").is_file()
+
+
+@pytest.mark.parametrize(
+    "source", [("--frames", "20", "--landmarks", "10"), ("--worst-case", "3", "4")],
+    ids=["desk", "worst-case"],
+)
+def test_gen_loads_no_compute_module(tmp_path, source):
+    out = tmp_path / "data"
+    script = f"""
+import sys
+
+from graphelim import cli
+
+assert cli.main(["gen", *{source!r}, "--out", {str(out)!r}]) == 0
+compute = ("experiment", "elimination", "cliquetree", "oracle", "pruning")
+loaded = [name for name in compute if f"graphelim.{{name}}" in sys.modules]
+assert not loaded, f"graphelim gen imported {{loaded}}"
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "manifest.json").is_file() and (out / "dataset.log").is_file()

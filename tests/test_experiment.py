@@ -6,7 +6,7 @@ import pytest
 from graphelim import cliquetree, elimination, experiment
 from graphelim.cliquetree import build_clique_tree, ec_of_clique_tree
 from graphelim.elimination import elimination_complexity, min_degree_ordering
-from graphelim.experiment import ExperimentSpec, WorstCaseParams, run_experiment
+from graphelim.experiment import ExperimentSpec, run_experiment
 from graphelim.plotting import render_report_svg
 from graphelim.pruning import apply_policy
 from graphelim.report import (
@@ -21,6 +21,7 @@ from graphelim.simulate import (
     SimConfig,
     Trajectory,
     Visibility,
+    WorstCaseParams,
     build_graph,
     from_json_object,
     simulate_trajectory,

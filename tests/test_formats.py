@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphelim.elimination import ORDERING_FUNCTIONS, load_ordering, save_ordering
-from graphelim.experiment import ExperimentSpec, WorstCaseParams
+from graphelim.experiment import ExperimentSpec
 from graphelim.graph import ParseError, graph_from_text, graph_to_text
 from graphelim.pruning import POLICY_NAMES
 from graphelim.simulate import (
@@ -27,6 +27,7 @@ from graphelim.simulate import (
     SimConfig,
     Trajectory,
     Visibility,
+    WorstCaseParams,
     from_json_object,
     log_from_text,
     log_to_text,

@@ -61,6 +61,14 @@ def test_worst_case_single_pose():
     assert g.n_vars == 1 and not g.factors
 
 
+@pytest.mark.parametrize(
+    "args, field", [((0, 5), "n_x"), ((3, -1), "n_l"), ((3, 2, 0), "d_x"), ((3, 2, 6, 0), "d_l")]
+)
+def test_worst_case_rejects_bad_size(args, field):
+    with pytest.raises(ValueError, match=f"^worst_case.{field} must be an integer >= "):
+        worst_case_graph(*args)
+
+
 def test_worst_case_triangle():
     g = worst_case_graph(2, 1, 1, 1)
     assert len(g.factors) == 3
