@@ -3,16 +3,18 @@
 The elimination-cost metrics are structural; this module provides the
 independent numeric side. `synthesize_system` builds a random symmetric
 positive-definite matrix on a graph, nonzero exactly where the graph's
-variable adjacency, expanded to blocks, says. `cholesky_count` factors it
-under a variable ordering, left-looking by supernodes (Ng and Peyton 1993):
-one run of pivots per variable, with its structure read from the graph, and
-one front per fundamental supernode of runs, which holds only its pivot
-rows over its index set and is factored by LAPACK Cholesky and solve. A
-front's factor rows over its later columns wait on the front that owns the
-first of them; that front subtracts the products of all the rows waiting
-on it, one product per stack of rows, and passes each on, trimmed past its
-own pivots, to the front that owns the next column. It tallies pivot by
-pivot, from the fronts' widths, the multiplications of the scalar
+variable adjacency, expanded to blocks, says, and stores it by variable:
+each variable's rows over its closed neighbourhood, so no n x n array is
+ever made. `cholesky_count` factors it under a variable ordering,
+left-looking by supernodes (Ng and Peyton 1993): one run of pivots per
+variable, with its structure read from the graph, and one front per
+fundamental supernode of runs, which gathers only its pivot rows over its
+index set from its variables' rows and is factored by LAPACK Cholesky and
+solve. A front's factor rows over its later columns wait on the front that
+owns the first of them; that front subtracts the products of all the rows
+waiting on it, one product per stack of rows, and passes each on, trimmed
+past its own pivots, to the front that owns the next column. It tallies
+pivot by pivot, from the fronts' widths, the multiplications of the scalar
 right-looking Cholesky, whose column scaling by the reciprocal root spends
 one division per pivot. No count comes from the elimination cost it is
 meant to check; the factor is checked numerically on every call (R^T R x
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -39,21 +41,59 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Dense-stored SPD system on a graph's block pattern: variable v owns
-    the next `dims[v]` scalars after variables 0..v-1, and the block of two
-    distinct variables is zero unless they are adjacent."""
+    """SPD system on a graph's block pattern, stored by variable rows.
 
-    values: np.ndarray  # (n, n) float64, n the sum of the graph's dims
+    Variable v owns the next `dims[v]` scalars after variables 0..v-1, and
+    the block of two distinct variables is zero unless they are adjacent.
+    `rows[v]` holds v's scalars' rows over its closed neighbourhood (v and
+    its neighbours, in variable-id order): a dims[v] x width float64 array
+    whose columns are the scalar ids `cols[v]`, ascending. `cols` is read
+    off the graph, so the store holds nnz(A) values and no n x n array,
+    and it cannot hold an entry outside the graph's pattern.
+    """
+
+    rows: tuple[np.ndarray, ...]
     graph: FactorGraph
+    cols: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = sum(self.graph.dims)
-        if self.values.shape != (n, n):
-            raise ValueError(f"the graph's dims sum to {n}, but values are {self.values.shape}")
+        cols = _closed_columns(self.graph)[1]
+        if len(self.rows) != len(cols):
+            raise ValueError(
+                f"the graph has {len(cols)} variables, but the system {len(self.rows)} row blocks"
+            )
+        for v, (rows, c, d) in enumerate(zip(self.rows, cols, self.graph.dims)):
+            if rows.shape != (d, c.size):
+                raise ValueError(
+                    f"variable {v}'s rows are {rows.shape}, but its dim and closed"
+                    f" neighbourhood make them ({d}, {c.size})"
+                )
+        object.__setattr__(self, "cols", cols)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return sum(self.graph.dims)
+
+
+def _scalars(starts: np.ndarray, dims: np.ndarray, variables: np.ndarray) -> np.ndarray:
+    """The scalar ids of `variables`, each variable's in order, at its turn,
+    given every variable's first scalar and dim."""
+    d = dims[variables]
+    ids = np.repeat(starts[variables] - (np.cumsum(d) - d), d)
+    ids += np.arange(ids.size)
+    return ids
+
+
+def _closed_columns(graph: FactorGraph) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Each variable's closed neighbourhood as ascending scalar ids: all of
+    them in variable order, and per variable, as views of those."""
+    dims = np.array(graph.dims, dtype=np.intp)
+    near = [sorted(graph.neighbors(v) | {v}) for v in range(graph.n_vars)]
+    flat = np.fromiter(itertools.chain.from_iterable(near), np.intp)
+    scalars = _scalars(np.cumsum(dims) - dims, dims, flat)
+    # split at each variable's last column; the piece after the last is empty
+    cuts = np.cumsum(dims[flat])[np.cumsum([len(u) for u in near], dtype=np.intp) - 1]
+    return scalars, tuple(np.split(scalars, cuts)[:-1])
 
 
 @dataclass(frozen=True)
@@ -73,55 +113,84 @@ class CholeskyCount:
         return tuple((r.shape[0], r.shape[1] - r.shape[0]) for _, r in self.factor)
 
 
-# synthesize_system finishes this many rows at a time; each of its
-# temporaries holds that many rows (1.1 MiB on the 1140-scalar desk frame)
-_SYNTH_ROWS = 128
+# synthesize_system draws about this many entries at a time; each of its
+# temporaries holds that many (128 KiB)
+_SYNTH_ENTRIES = 1 << 14
+# splitmix64's increment and multipliers (Steele, Lea and Flood 2014)
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _uniform(keys: np.ndarray, seed: int) -> np.ndarray:
+    """The keys-th draws of a splitmix64 stream seeded with `seed`, as
+    uniforms in the open interval (-1, 1). Consumes `keys`."""
+    z = keys.view(np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed % 2**64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    # 52 bits k give (k + 1/2) / 2^51 - 1: exact, and never 0
+    out = (z >> np.uint64(12)).astype(np.float64)
+    out += 0.5
+    out *= 2.0**-51
+    out -= 1.0
+    return out
 
 
 def synthesize_system(graph: FactorGraph, seed: int = 0) -> SparseSystem:
     """Random SPD matrix on the graph's block sparsity pattern.
 
     Off-diagonal blocks exist exactly where variables are adjacent;
-    diagonal blocks are dense. Strict diagonal dominance guarantees the
-    Cholesky factorization exists without pivoting. Deterministic per
-    seed.
+    diagonal blocks are dense. Entry (i, j) off the diagonal is the
+    min(i, j) * n + max(i, j)-th uniform(-1, 1) draw of a splitmix64 stream
+    seeded with `seed`, so the matrix is symmetric by construction and
+    deterministic per seed; each diagonal entry is its row's absolute
+    off-diagonal sum plus 1, and this strict diagonal dominance guarantees
+    the Cholesky factorization exists without pivoting. The rows are drawn
+    into one flat array, whole scalar rows of about `_SYNTH_ENTRIES`
+    entries at a time.
     """
     if graph.n_vars == 0:
         raise ValueError("cannot synthesize a system for an empty graph")
-    adjacent = np.eye(graph.n_vars, dtype=bool)
-    for v in range(graph.n_vars):
-        adjacent[v, list(graph.neighbors(v))] = True
-    var_of = np.repeat(np.arange(graph.n_vars), graph.dims)
-    n = var_of.size
-
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(-1.0, 1.0, size=(n, n))
-    # symmetrize, mask and set the diagonal a block of rows at a time, in
-    # place. No earlier block writes the upper part of rows a..b or the
-    # lower part of columns a..b, so both still hold the raw draw; once the
-    # block's upper part is mirrored, its rows are complete
-    for a in range(0, n, _SYNTH_ROWS):
-        b = min(a + _SYNTH_ROWS, n)
-        block = values[a:b, a:] + values[a:, a:b].T
-        block /= 2.0
-        block[~adjacent[var_of[a:b]][:, var_of[a:]]] = 0.0
-        values[a:b, a:] = block
-        values[a:, a:b] = block.T
-        del block  # one block-sized temporary at a time
-        rows = values[a:b]
-        diag = np.arange(b - a), np.arange(a, b)
-        rows[diag] = 0.0
-        rows[diag] = np.abs(rows).sum(axis=1) + 1.0
-    return SparseSystem(values, graph)
+    col_ids, cols = _closed_columns(graph)
+    dims = np.array(graph.dims, dtype=np.intp)
+    n = int(dims.sum())
+    # per scalar row: its width, its first entry in the flat store and its
+    # first column's offset in `col_ids`
+    sizes = np.array([c.size for c in cols], dtype=np.intp)
+    width = np.repeat(sizes, dims)
+    row_at = np.concatenate(([0], np.cumsum(width)))
+    col_at = np.repeat(np.cumsum(sizes) - sizes, dims)
+    flat = np.empty(int(row_at[-1]))
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(row_at, row_at[a] + _SYNTH_ENTRIES, "right")) - 1)
+        e0, e1 = int(row_at[a]), int(row_at[b])
+        i = np.repeat(np.arange(a, b), width[a:b])
+        j = col_ids[np.repeat(col_at[a:b] - row_at[a:b], width[a:b]) + np.arange(e0, e1)]
+        block = flat[e0:e1]
+        block[:] = _uniform(np.minimum(i, j) * n + np.maximum(i, j), seed)
+        at = np.flatnonzero(i == j)  # one diagonal entry per row
+        block[at] = 0.0
+        block[at] = np.add.reduceat(np.abs(block), row_at[a:b] - e0) + 1.0
+        a = b
+    del col_ids, cols, i, j  # freed before the store reads its columns again
+    cuts = row_at[np.cumsum(dims)].tolist()
+    rows = tuple(
+        flat[i:j].reshape(d, -1) for i, j, d in zip([0, *cuts], cuts, dims.tolist())
+    )
+    return SparseSystem(rows, graph)
 
 
 def scalar_permutation(system: SparseSystem, ordering: Sequence[int]) -> np.ndarray:
     """Expand a variable ordering to scalar indices: each variable's
     scalars, in their own order, at its turn."""
     check_ordering(system.graph, ordering)
-    starts = list(itertools.accumulate(system.graph.dims, initial=0))
-    scalars = [i for v in ordering for i in range(starts[v], starts[v + 1])]
-    return np.array(scalars, dtype=np.intp)
+    dims = np.array(system.graph.dims, dtype=np.intp)
+    return _scalars(np.cumsum(dims) - dims, dims, np.asarray(ordering, dtype=np.intp))
 
 
 def _fronts(graph: FactorGraph, ordering: Sequence[int]) -> list[tuple[np.ndarray, int]]:
@@ -180,17 +249,17 @@ class FactorCheckError(RuntimeError):
 
 
 def _subtract_products(
-    front: np.ndarray, index: np.ndarray, tails: Sequence[tuple[np.ndarray, np.ndarray]]
+    front: np.ndarray, slot: np.ndarray, tails: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> None:
-    """front -= W[:, :p].T @ W for a front of p pivot rows over `index`, where
-    W stacks each tail's factor rows, its columns scattered to where they
-    fall in `index`, at most `_STACK` rows at a time."""
-    p = front.shape[0]
+    """front -= W[:, :p].T @ W for a front of p pivot rows, where W stacks
+    each tail's factor rows, its columns scattered to the front's columns
+    `slot` gives their positions, at most `_STACK` rows at a time."""
+    p, f = front.shape
     total = sum(rows.shape[0] for _, rows in tails)
-    stack = np.zeros((min(total, _STACK), index.size))
+    stack = np.zeros((min(total, _STACK), f))
     k = 0
     for cols, rows in tails:
-        at = np.searchsorted(index, cols)
+        at = slot[cols]
         for a in range(0, rows.shape[0], _STACK):
             piece = rows[a:a + _STACK]
             if k + piece.shape[0] > stack.shape[0]:
@@ -226,7 +295,9 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     A symbolic pass (`_fronts`) finds each front's index set and pivot
     count from the graph. The numeric pass visits the fronts in
     elimination order. A front is its pivots' original rows over its index
-    set, less the products of the factor rows waiting on it
+    set, gathered from its variables' stored rows (a spare last column takes
+    the entries left of the front, which belong to earlier pivots), less
+    the products of the factor rows waiting on it
     (`_subtract_products`), all of them at once. Once factored, the front
     adds its own rows to those that waited on it, and each one whose
     columns reach past the front's pivots waits next, trimmed to those
@@ -251,20 +322,35 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     perm = scalar_permutation(system, ordering)
     fronts = _fronts(system.graph, ordering)
     owner = np.repeat(np.arange(len(fronts)), [p for _, p in fronts])
+    dims = system.graph.dims
+    bounds = list(itertools.accumulate((dims[v] for v in ordering), initial=0))
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(perm.size)
+    # a position's column in the current front; -1, the front's spare last
+    # column, for the pivots of fronts already factored
+    slot = np.full(perm.size, -1, dtype=np.intp)
     # the factor check's vector, and A x read from each front's original rows
     x = np.linspace(1.0, 2.0, perm.size)
     ax = np.zeros_like(x)
     waiting: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in fronts]
     blocks = []
     mult = div = stored = 0
+    run = 0
     for i, (index, p) in enumerate(fronts):
         f, start = index.size, int(index[0])
-        m = system.values.take(perm[start:start + p], 0).take(perm[index], 1)
+        slot[index] = np.arange(f)
+        m = np.zeros((p, f + 1))
+        while bounds[run] < start + p:  # gather each pivot run's rows
+            v, a = ordering[run], bounds[run] - start
+            m[a:a + dims[v], slot[pos[system.cols[v]]]] = system.rows[v]
+            run += 1
+        m = m[:, :f]
         ax[start:start + p] += m @ x[index]
         ax[index[p:]] += m[:, p:].T @ x[start:start + p]
         tails, waiting[i] = waiting[i], []  # drops the views once used
         if tails:
-            _subtract_products(m, index, tails)
+            _subtract_products(m, slot, tails)
+        slot[start:start + p] = -1
         for a in range(0, p, _PANEL):
             b = min(a + _PANEL, p)
             try:
@@ -286,16 +372,12 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
         # that owns its first column past this front's pivots
         tails.append((index, m))
         for cols, rows in tails:
-            k = np.searchsorted(cols, start + p)
+            k = cols.searchsorted(start + p)
             if k < cols.size:
                 waiting[owner[cols[k]]].append((cols[k:], rows[:, k:]))
-    # the original pattern's entries, read off the graph; half the
-    # off-diagonal ones lie above the diagonal
-    dims = system.graph.dims
-    nnz = sum(
-        d * (d + sum(dims[u] for u in system.graph.neighbors(v)))
-        for v, d in enumerate(dims)
-    )
+    # the original pattern's entries are the store's; half the off-diagonal
+    # ones lie above the diagonal
+    nnz = sum(rows.size for rows in system.rows)
     fill = stored - (nnz - perm.size) // 2
     count = CholeskyCount(mult, div, fill, tuple(blocks), perm)
     check_factor(count, x, ax)

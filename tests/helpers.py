@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -259,6 +260,26 @@ def scalar_pattern(graph: FactorGraph) -> np.ndarray:
     return adjacent.repeat(graph.dims, 0).repeat(graph.dims, 1)
 
 
+def dense(system: SparseSystem) -> np.ndarray:
+    """The system's n x n matrix, assembled from its variable rows."""
+    a = np.zeros((system.n, system.n))
+    start = 0
+    for rows, cols in zip(system.rows, system.cols):
+        a[start:start + rows.shape[0], cols] = rows
+        start += rows.shape[0]
+    return a
+
+
+def with_diagonal(system: SparseSystem, i: int, value: float) -> SparseSystem:
+    """A copy of the system whose diagonal entry (i, i) is `value`."""
+    ends = list(itertools.accumulate(system.graph.dims))
+    v = bisect.bisect_right(ends, i)
+    rows = list(system.rows)
+    rows[v] = rows[v].copy()
+    rows[v][i - ends[v] + rows[v].shape[0], np.searchsorted(system.cols[v], i)] = value
+    return SparseSystem(tuple(rows), system.graph)
+
+
 def reference_cholesky_count(
     system: SparseSystem, ordering: Sequence[int]
 ) -> CholeskyCount:
@@ -269,7 +290,7 @@ def reference_cholesky_count(
     front over every position, holding the dense R.
     """
     perm = scalar_permutation(system, ordering)
-    val = system.values[np.ix_(perm, perm)].copy()
+    val = dense(system)[np.ix_(perm, perm)]
     pat = scalar_pattern(system.graph)[np.ix_(perm, perm)]
     n = system.n
     factor = np.zeros((n, n))

@@ -37,6 +37,7 @@ from graphelim.simulate import (
 from helpers import (
     ReferenceGraph,
     complete_graph,
+    dense,
     dense_factor,
     path_graph,
     random_block_graph,
@@ -45,12 +46,13 @@ from helpers import (
     random_scalar_graph,
     reference_cholesky_count,
     scalar_pattern,
+    with_diagonal,
 )
 
 
 def permuted(system, count):
     p = count.scalar_order
-    return system.values[np.ix_(p, p)]
+    return dense(system)[np.ix_(p, p)]
 
 
 # -- synthesize_system ---------------------------------------------------------
@@ -61,40 +63,65 @@ def test_pattern_tridiagonal_for_scalar_path():
     expect = np.array(
         [[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool
     )
-    assert ((system.values != 0) == expect).all()
+    assert ((dense(system) != 0) == expect).all()
 
 
 def test_no_landmark_landmark_block():
     g = worst_case_graph(2, 2, 1, 1)
-    system = synthesize_system(g, seed=3)
-    assert ((system.values != 0) == scalar_pattern(g)).all()
-    assert system.values[2, 3] == 0.0 and system.values[3, 2] == 0.0
+    a = dense(synthesize_system(g, seed=3))
+    assert ((a != 0) == scalar_pattern(g)).all()
+    assert a[2, 3] == 0.0 and a[3, 2] == 0.0
 
 
 def test_same_seed_same_matrix():
     g = random_block_graph(random.Random(4))
-    a = synthesize_system(g, seed=9)
-    b = synthesize_system(g, seed=9)
-    assert (a.values == b.values).all()
-    assert (synthesize_system(g, seed=10).values != a.values).any()
+    a = dense(synthesize_system(g, seed=9))
+    assert (dense(synthesize_system(g, seed=9)) == a).all()
+    assert (dense(synthesize_system(g, seed=10)) != a).any()
 
 
 def test_synthesized_system_bytes_pinned():
-    # digests of the matrix built by the original whole-matrix construction
+    # digest of the stored rows, concatenated in variable order, as the
+    # keyed splitmix64 draw makes them
     system = synthesize_system(worst_case_graph(4, 5), seed=7)
-    assert hashlib.sha256(system.values.tobytes()).hexdigest() == (
-        "c987bd2fef7fe1c86c0da6b0c06ed2b2d19a8eb998810d64c2827d28b13a4e1b"
+    rows = np.concatenate([r.ravel() for r in system.rows])
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "a9f04db9589d63f31578713bbc7db84fa8d0769fb51fab00a306415fef77c12d"
     )
-    # and of where it is nonzero: the graph's block pattern
-    assert hashlib.sha256((system.values != 0).tobytes()).hexdigest() == (
+    # and of where the matrix is nonzero: the graph's block pattern
+    assert hashlib.sha256((dense(system) != 0).tobytes()).hexdigest() == (
         "ecab873b40145bb650417f4dfd4ee98e483fcaab9f7476e0ace58e0fe83c5570"
     )
 
 
+def _splitmix64(seed, k):
+    # the k-th output of a splitmix64 stream seeded with `seed`, one at a time
+    mask = 2**64 - 1
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_off_diagonal_entries_are_keyed_draws():
+    g = worst_case_graph(3, 4)
+    a = dense(synthesize_system(g, seed=11))
+    n = a.shape[0]
+    for i, j in zip(*np.nonzero(a)):
+        if i != j:
+            k = min(i, j) * n + max(i, j)
+            assert a[i, j] == ((_splitmix64(11, int(k)) >> 12) + 0.5) / 2.0**51 - 1.0
+    off = a - np.diag(np.diag(a))
+    # each diagonal entry is its row's absolute off-diagonal sum plus 1, up
+    # to the order of summation
+    np.testing.assert_allclose(np.diag(a), np.abs(off).sum(axis=1) + 1.0, rtol=1e-15)
+
+
 def test_synthesize_system_peak_memory_on_desk_final_frame():
-    # the 1140-scalar system's values take 9.9 MiB and each 128-row block of
-    # them 1.1 MiB, so an n x n bool pattern beside them (1.2 MiB) would not
-    # fit: masking each block from the variable adjacency peaks at 11.4 MiB
+    # the 1140-scalar system stores 290,916 values (2.2 MiB) and its columns'
+    # 71,445 scalar ids (0.6 MiB), draws 16,384 entries at a time, and reads
+    # its columns off the graph once to draw and once more to store: this
+    # peaks at 3.76 MiB (Python 3.11.7, numpy 2.4.6)
     log = simulate_trajectory(default_config(seed=1, n_frames=150, landmark_count=80))
     g = build_graph(log.prefix(149))
     tracemalloc.start()
@@ -103,7 +130,7 @@ def test_synthesize_system_peak_memory_on_desk_final_frame():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 4.25 * 2**20
 
 
 def test_synthesized_matrix_is_spd():
@@ -111,8 +138,18 @@ def test_synthesized_matrix_is_spd():
     for k in range(20):
         g = random_block_graph(rng)
         system = synthesize_system(g, seed=k)
-        eigvals = np.linalg.eigvalsh(system.values)
+        eigvals = np.linalg.eigvalsh(dense(system))
         assert eigvals.min() > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_store_is_symmetric_spd_on_the_block_pattern(rng):
+    g = random_block_graph(rng)
+    a = dense(synthesize_system(g, seed=rng.randrange(2**32)))
+    assert (a == a.T).all()
+    assert ((a != 0) == scalar_pattern(g)).all()
+    assert np.linalg.eigvalsh(a).min() > 0
 
 
 # -- cholesky_count -------------------------------------------------------------
@@ -187,10 +224,7 @@ def test_block_counts_within_constant_factor_of_block_cost():
 
 
 def test_non_spd_names_pivot():
-    system = synthesize_system(path_graph(3), seed=0)
-    broken = system.values.copy()
-    broken[1, 1] = -5.0
-    bad = SparseSystem(broken, system.graph)
+    bad = with_diagonal(synthesize_system(path_graph(3), seed=0), 1, -5.0)
     with pytest.raises(NotPositiveDefiniteError) as err:
         cholesky_count(bad, [0, 1, 2])
     assert "index 1" in str(err.value)
@@ -198,9 +232,16 @@ def test_non_spd_names_pivot():
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 2)])
 def test_system_dims_must_match_matrix(dims):
-    graph = FactorGraph([Kind.POSE, Kind.POSE], dims)
-    with pytest.raises(ValueError, match=rf"graph's dims sum to {sum(dims)}, but values are \(3, 3\)"):
-        SparseSystem(2 * np.eye(3), graph)
+    # a block must be its variable's dim by its closed neighbourhood's dims
+    graph = FactorGraph([Kind.POSE, Kind.POSE], dims, [0, 1], [0, 2])
+    rows = synthesize_system(graph).rows
+    with pytest.raises(ValueError, match=(
+        rf"^variable 1's rows are \(3, 3\), but its dim and closed neighbourhood"
+        rf" make them \({dims[1]}, {sum(dims)}\)$"
+    )):
+        SparseSystem((rows[0], 2 * np.eye(3)), graph)
+    with pytest.raises(ValueError, match="^the graph has 2 variables, but the system 1 row blocks$"):
+        SparseSystem(rows[:1], graph)
 
 
 def _random_system_and_ordering(rng):
@@ -248,12 +289,12 @@ def _peak_memory_of_cholesky_count(system, order):
 
 def test_peak_memory_on_desk_frame_50():
     # min-degree eliminates most landmarks first, toward few parent poses.
-    # Each front holds only its pivot rows, and descendants' factor rows wait
-    # as views of the factor: frame 50 peaks at 1.8 MiB, the final frame at
-    # 4.2 MiB. Square update blocks held until their parent was factored
-    # peaked at 2.9 and 7.4 MiB, and near 49 MiB before they were summed
+    # Each front gathers only its pivot rows from the variable store, and
+    # descendants' factor rows wait as views of the factor: frame 50 peaks at
+    # 1.74 MiB, the final frame at 3.13 MiB (Python 3.11.7, numpy 2.4.6),
+    # most of it the root front's stack and product
     log = simulate_trajectory(default_config(seed=1, n_frames=150, landmark_count=80))
-    for frame, bound in [(50, 16), (149, 5.5)]:
+    for frame, bound in [(50, 2), (149, 3.5)]:
         g = build_graph(log.prefix(frame))
         system = synthesize_system(g, seed=0)
         peak = _peak_memory_of_cholesky_count(system, min_degree_ordering(g))
@@ -263,20 +304,35 @@ def test_peak_memory_on_desk_frame_50():
 def test_peak_memory_on_worst_case_120x240():
     # the 723-pivot root front takes the factor rows of 239 childless 3-pivot
     # fronts, stacked _STACK rows at a time, and holds only its pivot rows:
-    # this peaks at 17.4 MiB, and at 20.2 MiB with a square front
+    # this peaks at 15.07 MiB (Python 3.11.7, numpy 2.4.6)
     g = worst_case_graph(120, 240)
     peak = _peak_memory_of_cholesky_count(synthesize_system(g), min_degree_ordering(g))
-    assert peak < 19 * 2**20
+    assert peak < 17 * 2**20
+
+
+def test_peak_memory_at_four_times_desk_scale():
+    # the 600x320 desk final frame: 4560 scalars. Synthesis and oracle
+    # together peak at 3.0 times the factor's 10.0 MiB (Python 3.11.7,
+    # numpy 2.4.6)
+    log = simulate_trajectory(default_config(seed=1, n_frames=600, landmark_count=320))
+    g = build_graph(log.prefix(599))
+    order = min_degree_ordering(g)
+    tracemalloc.start()
+    try:
+        count = cholesky_count(synthesize_system(g, seed=0), order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count.mult_count, count.fill_count) == (177_920_579, 372_402)
+    assert peak < 3.5 * sum(rows.nbytes for _, rows in count.factor)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_blocked_kernel_fails_at_reference_index(rng):
     system, order = _random_system_and_ordering(rng)
-    broken = system.values.copy()
     i = rng.randrange(system.n)
-    broken[i, i] = -rng.uniform(0.0, 2.0)
-    bad = SparseSystem(broken, system.graph)
+    bad = with_diagonal(system, i, -rng.uniform(0.0, 2.0))
     with pytest.raises(NotPositiveDefiniteError) as got:
         cholesky_count(bad, order)
     with pytest.raises(NotPositiveDefiniteError) as ref:
@@ -307,9 +363,7 @@ def test_failing_pivot_inside_merged_front_matches_reference(
     _assert_matches_reference(count, reference_cholesky_count(system, order))
     i = sum(system.graph.dims[:var]) + scalar
     assert count.scalar_order[position] == i
-    broken = system.values.copy()
-    broken[i, i] = -0.5
-    bad = SparseSystem(broken, system.graph)
+    bad = with_diagonal(system, i, -0.5)
     with pytest.raises(NotPositiveDefiniteError) as got:
         cholesky_count(bad, order)
     with pytest.raises(NotPositiveDefiniteError) as ref:
@@ -407,9 +461,7 @@ def test_front_shapes_match_reference(build, shape):
         cholesky_count(system, order), reference_cholesky_count(system, order)
     )
     for position in (system.n // 2, system.n - 1):
-        broken = system.values.copy()
-        broken[perm[position], perm[position]] = -0.5
-        bad = SparseSystem(broken, system.graph)
+        bad = with_diagonal(system, int(perm[position]), -0.5)
         with pytest.raises(NotPositiveDefiniteError) as got:
             cholesky_count(bad, order)
         with pytest.raises(NotPositiveDefiniteError) as ref:
