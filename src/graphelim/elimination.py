@@ -16,17 +16,20 @@ The cost needs only each d_s, which `elimination_tree` sums as it builds
 each separator, once for the cost, the clique tree and the scalar count.
 Explicit fill runs only where it is the product: the `simulate_elimination`
 trace, and `min_degree_ordering`, which keeps it over supervariables
-(groups of variables with equal closed neighborhoods) and reads each
-variable's exact degree off its group.
+(groups of variables with equal closed neighborhoods). Each group holds its
+closed neighborhood as an int with one bit per scalar, so a variable's exact
+degree is a bit count and twin groups are those with equal ints.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .graph import FactorGraph, Kind, check_ordering
 from .report import ParseError
@@ -149,6 +152,46 @@ def scalar_mult_count(graph: FactorGraph, ordering: Sequence[int]) -> int:
     return sum(d * (d + 3) for d in separator_dim) // 2
 
 
+# the initial bitsets are built this many bool entries (rows x scalars) at a time
+_CHUNK = 1 << 18
+
+
+def _bitsets(graph: FactorGraph) -> tuple[list[int], list[int]]:
+    """Every variable's closed neighborhood as two ints: over scalars, in
+    which variable u owns `dims[u]` consecutive bits in id order, and over
+    variables, one bit each.
+
+    Rows are built a chunk at a time, as a bool block widened to scalars
+    and packed, so no array spans every edge.
+    """
+    n, dims = graph.n_vars, graph.dims
+    rows = max(1, _CHUNK // sum(dims))
+    scalar: list[int] = []
+    var: list[int] = []
+    for a in range(0, n, rows):
+        nbrs = [graph.neighbors(v) for v in range(a, min(n, a + rows))]
+        sizes = list(map(len, nbrs))
+        block = np.zeros((len(nbrs), n), dtype=bool)
+        block[
+            np.repeat(np.arange(len(nbrs)), sizes),
+            np.fromiter(itertools.chain.from_iterable(nbrs), np.intp, sum(sizes)),
+        ] = True
+        block[np.arange(len(nbrs)), np.arange(a, a + len(nbrs))] = True
+        scalar += _row_ints(np.repeat(block, dims, axis=1))
+        var += _row_ints(block)
+    return scalar, var
+
+
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D bool array as an int, column j as bit j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width)
+    ]
+
+
 def min_degree_ordering(graph: FactorGraph) -> list[int]:
     """Greedy minimum-degree ordering, block-aware.
 
@@ -159,9 +202,13 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
 
     The graph is kept over supervariables: groups of variables with equal
     closed neighborhoods, which stay equal until they are eliminated
-    (George and Liu 1989). A group keeps the summed dimension `weight` of
-    its closed neighborhood, so member `u` has the exact degree
-    `weight - dims[u]`, and a lazy heap of exact keys yields the least.
+    (George and Liu 1989). A group holds its closed neighborhood as an int
+    in which variable u owns `dims[u]` consecutive bits, so member u's
+    exact degree is the bit count less `dims[u]`, and a lazy heap of exact
+    keys yields the least. Groups whose bitsets are equal are twins, an
+    exact test, and merge into one. Group adjacency is a bitset over group
+    ids as well, read through the mask of live groups, so a merged or
+    emptied group leaves every neighbor's set by clearing one bit.
     Members leave one at a time, each at its own key: their dims and kinds
     differ, so eliminating a whole group at once would put other
     variables' keys out of order with theirs.
@@ -170,74 +217,73 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
     if n == 0:
         raise ValueError("min_degree_ordering requires a nonempty graph")
     dims = graph.dims
+    starts = list(itertools.accumulate(dims, initial=0))
     kind_rank = [0 if v.kind is Kind.LANDMARK else 1 for v in graph.variables]
-    rng = random.Random(0)
-    tag = [rng.getrandbits(60) for _ in range(n)]  # hashes closed neighborhoods
-    # per group, indexed by the variable it started from: adjacent groups,
-    # alive members (least key last), their summed dims and tags, and the
-    # summed dims and tags of the closed neighborhood
-    adj = graph.adjacency()
+    # per group, indexed by the variable it started from: its closed
+    # neighborhood over scalars and over groups, and its alive members,
+    # least key last
+    closed, adj = _bitsets(graph)
     members = [[v] for v in range(n)]
-    size, tags = list(dims), list(tag)
-    weight = [dims[v] + sum(map(dims.__getitem__, adj[v])) for v in range(n)]
-    closure = [tag[v] + sum(map(tag.__getitem__, adj[v])) for v in range(n)]
     group = list(range(n))  # of each alive variable; -1 once eliminated
+    live = (1 << n) - 1  # groups with alive members
 
     def member_key(v: int) -> tuple[int, int, int]:
         return dims[v], -kind_rank[v], -v
 
-    def merge_twins(touched: Iterable[int]) -> None:
+    heap: list[tuple[int, int, int]] = []
+
+    def settle(touched: Iterable[int]) -> None:
+        # merge twins among the touched groups, then push each survivor's key
+        nonlocal live
         first: dict[int, int] = {}
+        merged: set[int] = set()
         for t in touched:
-            r = first.setdefault(closure[t], t)
-            if r != t and adj[r] ^ adj[t] == {r, t}:  # equal closed neighborhoods
-                for x in adj[t]:
-                    adj[x].discard(t)
+            r = first.setdefault(closed[t], t)
+            if r != t:
                 for v in members[t]:
                     group[v] = r
-                members[r] = sorted(members[r] + members[t], key=member_key)
-                adj[t], members[t] = set(), []
-                size[r] += size[t]
-                tags[r] += tags[t]
+                members[r] += members[t]
+                members[t], closed[t], adj[t] = [], 0, 0
+                live ^= 1 << t
+                merged.add(r)
+        for r in merged:
+            members[r].sort(key=member_key)
+        for c, t in first.items():
+            u = members[t][-1]
+            heapq.heappush(heap, (c.bit_count() - dims[u], kind_rank[u], u))
 
-    merge_twins(range(n))
-    heap = [(weight[v] - dims[v], kind_rank[v], v) for v in range(n)]
-    heapq.heapify(heap)
+    settle(range(n))
     order: list[int] = []
     while len(order) < n:
         d, _, v = heapq.heappop(heap)
         s = group[v]
-        if s < 0 or weight[s] - dims[v] != d:
+        if s < 0 or closed[s].bit_count() - dims[v] != d:
             continue  # stale: eliminated, or its degree changed since
         members[s].pop()
         group[v] = -1
         order.append(v)
-        size[s] -= dims[v]
-        tags[s] -= tag[v]
-        nbrs, gone = adj[s], not members[s]
-        for t in nbrs:
-            at = adj[t]
-            if gone:
-                at.discard(s)
-            weight[t] -= dims[v]
-            closure[t] -= tag[v]
-            new = nbrs - at
-            new.discard(t)
-            if new:
-                at |= new
-                weight[t] += sum(map(size.__getitem__, new))
-                closure[t] += sum(map(tags.__getitem__, new))
-        touched = list(nbrs)
-        if gone:
-            adj[s] = set()
+        # each neighbor group t gains v's other neighbors: t's bitset joins
+        # s's, both less v's bits, and t's groups join s's
+        own = ((1 << dims[v]) - 1) << starts[v]
+        union = closed[s] ^ own
+        nbrs = adj[s] & live
+        rest = nbrs ^ 1 << s  # the neighbor groups other than s
+        if members[s]:
+            closed[s] = union
+            touched = [s]
         else:
-            touched.append(s)
-            weight[s] -= dims[v]
-            closure[s] -= tag[v]
-        for t in touched:
-            u = members[t][-1]
-            heapq.heappush(heap, (weight[t] - dims[u], kind_rank[u], u))
-        merge_twins(touched)
+            live ^= 1 << s
+            nbrs = rest
+            closed[s], adj[s] = 0, 0
+            touched = []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            t = low.bit_length() - 1
+            closed[t] = (closed[t] ^ own) | union
+            adj[t] |= nbrs
+            touched.append(t)
+        settle(touched)
     return order
 
 

@@ -217,7 +217,8 @@ def _fronts(graph: FactorGraph, ordering: Sequence[int]) -> list[tuple[np.ndarra
     for r, v in enumerate(ordering):
         marked = np.zeros(len(dims) - r, dtype=bool)  # positions from r
         marked[0] = True
-        later = pos[list(graph.neighbors(v))]
+        nbrs = graph.neighbors(v)
+        later = pos[np.fromiter(nbrs, np.intp, len(nbrs))]
         marked[later[later > r] - r] = True
         for c in children[r]:
             marked[updates[c] - r] = True
