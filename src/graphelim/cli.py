@@ -2,12 +2,14 @@
 
 The CLI adds no computation of its own; every CSV row it writes is
 re-derivable by calling the library directly. Each command imports only
-what it runs: `report` reads a CSV and writes its summary and plot with
-the standard library alone, `gen` adds numpy, `graph` and `simulate`
-only, and `experiment` adds the compute modules too. Exit codes: 0
-success, 1 bad input, 2 a bug, such as a `ValueError` from an experiment
-once its spec is built, or the oracle's `FactorCheckError`. Set
-GRAPHELIM_LOG=debug|info|... to control log verbosity.
+what it runs, inside the functions that run it: `report` reads a CSV and
+writes its summary and plot with the standard library alone, `gen` adds
+numpy, `graph` and `simulate` only, and `experiment` adds the compute
+modules too. Exit codes: 0 success, 1 bad input, 2 a bug, such as a
+`ValueError` from an experiment once its spec is built, or the oracle's
+`FactorCheckError`. GRAPHELIM_LOG sets the log level: debug, info,
+warning (the default), warn, error, critical, fatal or notset, in any
+case; any other value exits 1.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .plotting import write_report_svg
 from .report import (
@@ -30,45 +33,24 @@ from .report import (
     write_report_csv,
 )
 
+if TYPE_CHECKING:
+    from .simulate import ObservationLog, SimConfig, WorstCaseParams
+
 # sorted(elimination.ORDERING_FUNCTIONS), held here so that building the
 # parser imports no numpy; a test pins the two equal
 ORDERING_NAMES = ("landmark_first", "min_degree", "natural")
 
-# The numpy side: what `gen` and `experiment` use of `graph` and `simulate`.
-# `_import_numpy_side` binds it here on those commands' first use, so `report`
-# starts without numpy, and `gen` without the experiment's compute modules. Each
-# name stays an attribute of this module, looked up at call time, so a caller may
-# rebind one before `main` runs.
-_SIMULATE_NAMES = (
-    "Region",
-    "SimConfig",
-    "WorstCaseParams",
-    "default_config",
-    "from_json_object",
-    "save_log",
-    "simulate_trajectory",
-    "to_json",
-    "worst_case_graph",
-    "worst_case_log",
-)
-_NUMPY_SIDE = ("save_graph", *_SIMULATE_NAMES)
+# the level names `logging` defines, in any case; spelt out, since Python 3.10
+# has no `logging.getLevelNamesMapping`
+_LOG_LEVELS = ("debug", "info", "warning", "warn", "error", "critical", "fatal", "notset")
 
 
-def _import_numpy_side() -> None:
-    """Bind the `_NUMPY_SIDE` names here, keeping any a caller has rebound."""
-    from . import graph, simulate
+def simulate_trajectory(cfg: SimConfig) -> ObservationLog:
+    """`simulate.simulate_trajectory`, looked up here at call time, so that
+    `bench/traced.py` can rebind this name before `main` runs to time `gen`."""
+    from . import simulate
 
-    globals().setdefault("save_graph", graph.save_graph)
-    for name in _SIMULATE_NAMES:
-        globals().setdefault(name, getattr(simulate, name))
-
-
-def __getattr__(name: str):
-    """A `_NUMPY_SIDE` name read before a command bound it (PEP 562)."""
-    if name not in _NUMPY_SIDE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _import_numpy_side()
-    return globals()[name]
+    return simulate.simulate_trajectory(cfg)
 
 
 class _ValidationError(ValueError):
@@ -135,6 +117,8 @@ def _given(args: argparse.Namespace, **fields: str) -> dict:
 
 def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
     """`default_config`'s desk simulation with the options the user set."""
+    from .simulate import Region, default_config
+
     cfg = default_config(
         **_given(args, frames="n_frames", landmarks="landmark_count", sim_seed="seed")
     )
@@ -157,6 +141,8 @@ def _sim_config_from_args(args: argparse.Namespace) -> SimConfig:
 
 
 def _worst_case_from_args(args: argparse.Namespace) -> WorstCaseParams:
+    from .simulate import WorstCaseParams
+
     _reject_options(args, "--worst-case", args.sim_options)
     n_x, n_l = args.worst_case
     return WorstCaseParams(n_x, n_l, **_given(args, d_x="d_x", d_l="d_l"))
@@ -200,7 +186,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    _import_numpy_side()
+    from .graph import save_graph
+    from .simulate import save_log, to_json, worst_case_graph, worst_case_log
+
     out: Path = args.out
     if args.worst_case:
         params = _worst_case_from_args(args)
@@ -237,6 +225,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def _source_from_args(args: argparse.Namespace) -> dict:
     """The spec's source as the one keyword that sets it: `sim` or `worst_case`."""
+    from .simulate import SimConfig, WorstCaseParams, from_json_object
+
     if args.manifest is not None:
         dims = {"--d-x": "d_x", "--d-l": "d_l"}
         _reject_options(
@@ -259,8 +249,8 @@ def _source_from_args(args: argparse.Namespace) -> dict:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from . import experiment  # imported here, so that `gen` never loads it
+    from .simulate import to_json
 
-    _import_numpy_side()
     spec = experiment.ExperimentSpec(
         **_source_from_args(args),
         **_given(
@@ -300,10 +290,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("GRAPHELIM_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = os.environ.get("GRAPHELIM_LOG", "warning")
     parser = _build_parser()
     try:
+        if level.lower() not in _LOG_LEVELS:
+            names = ", ".join(_LOG_LEVELS)
+            raise _ValidationError(f"GRAPHELIM_LOG must be one of {names}, got {level!r}")
+        logging.basicConfig(level=getattr(logging, level.upper()))
         args = parser.parse_args(argv)
     except _ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -218,7 +218,9 @@ def min_degree_ordering(graph: FactorGraph) -> list[int]:
         raise ValueError("min_degree_ordering requires a nonempty graph")
     dims = graph.dims
     starts = list(itertools.accumulate(dims, initial=0))
-    kind_rank = [0 if v.kind is Kind.LANDMARK else 1 for v in graph.variables]
+    kind_rank = [1] * n
+    for v in graph.ids_of_kind(Kind.LANDMARK):
+        kind_rank[v] = 0
     # per group, indexed by the variable it started from: its closed
     # neighborhood over scalars and over groups, and its alive members,
     # least key last

@@ -207,7 +207,8 @@ def _fronts(graph: FactorGraph, ordering: Sequence[int]) -> list[tuple[np.ndarra
     supernode). Each front comes out as (index set of sorted permuted
     positions, pivot count).
     """
-    dims = [graph.dims[v] for v in ordering]
+    graph_dims = graph.dims
+    dims = [graph_dims[v] for v in ordering]
     bounds = list(itertools.accumulate(dims, initial=0))
     pos = np.empty(len(dims), dtype=np.intp)
     pos[ordering] = np.arange(len(dims))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -477,3 +478,56 @@ assert not loaded, f"graphelim gen imported {{loaded}}"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "manifest.json").is_file() and (out / "dataset.log").is_file()
+
+
+@pytest.mark.parametrize(
+    "level, code", [("basic_format", 1), ("nonsense", 1), ("root", 1), ("DEBUG", 0), ("warn", 0)]
+)
+def test_log_level_must_be_a_logging_level_name(tmp_path, level, code):
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text(f"{','.join(CSV_HEADER)}\n{_GOOD_ROW}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphelim", "report", "--csv", str(csv_path),
+         "--out", str(tmp_path / "rep")],
+        capture_output=True, text=True, env={**os.environ, "GRAPHELIM_LOG": level},
+    )
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == (
+            "error: GRAPHELIM_LOG must be one of debug, info, warning, warn, error,"
+            f" critical, fatal, notset, got {level!r}\n"
+        )
+        assert not (tmp_path / "rep").exists()
+
+
+def test_bench_rebinding_points(tmp_path):
+    # bench/traced.py rebinds these two names of `cli` before calling `main`
+    csv_path = tmp_path / "report.csv"
+    csv_path.write_text(f"{','.join(CSV_HEADER)}\n{_GOOD_ROW}\n")
+    script = f"""
+import sys
+
+from graphelim import cli
+
+original = cli.simulate_trajectory
+assert "numpy" not in sys.modules, "reading cli.simulate_trajectory imported numpy"
+calls = []
+
+def traced_simulate(cfg):
+    calls.append(cfg)
+    return original(cfg)
+
+def traced_svg(rows, path):
+    calls.append(path)
+
+cli.simulate_trajectory = traced_simulate
+cli.write_report_svg = traced_svg
+args = ["--frames", "20", "--landmarks", "10", "--out", {str(tmp_path / "data")!r}]
+assert cli.main(["gen", *args]) == 0
+assert len(calls) == 1 and calls[0].n_frames == 20, calls
+assert cli.main(["report", "--csv", {str(csv_path)!r}, "--out", {str(tmp_path / "rep")!r}]) == 0
+assert len(calls) == 2 and calls[1].name == "report.svg", calls
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert not (tmp_path / "rep" / "report.svg").exists()
