@@ -173,7 +173,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--ordering", choices=ORDERING_NAMES)
     run.add_argument(
         "--oracle",
-        action=argparse.BooleanOptionalAction,
+        action="store_true",
+        default=None,
         help="also run the counting factorization oracle per row",
     )
     run.add_argument("--stride", type=int, help="frame sampling stride")

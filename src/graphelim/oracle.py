@@ -7,20 +7,22 @@ variable adjacency, expanded to blocks, says, and stores it by variable:
 each variable's rows over its closed neighbourhood, so no n x n array is
 ever made. `cholesky_count` factors it under a variable ordering,
 left-looking by supernodes (Ng and Peyton 1993): one run of pivots per
-variable, with its structure read from the graph, and one front per
-fundamental supernode of runs, which gathers only its pivot rows over its
-index set from its variables' rows and is factored by LAPACK Cholesky and
-solve. A front's factor rows over its later columns wait on the front that
-owns the first of them; that front subtracts the products of all the rows
-waiting on it, one product per stack of rows, and passes each on, trimmed
-past its own pivots, to the front that owns the next column. It tallies
-pivot by pivot, from the fronts' widths, the multiplications of the scalar
+variable, with its structure found by the elimination tree's set algebra
+over the graph (Liu 1990), and one front per fundamental supernode of
+runs, which gathers only its pivot rows over its index set from its
+variables' rows and is factored by LAPACK Cholesky and solve. A front's
+factor rows over its later columns wait on the front that owns the first
+of them; that front subtracts the products of all the rows waiting on it,
+one product per stack of rows, and passes each on, trimmed past its own
+pivots, to the front that owns the next column. It tallies pivot by
+pivot, from the fronts' widths, the multiplications of the scalar
 right-looking Cholesky, whose column scaling by the reciprocal root spends
 one division per pivot. No count comes from the elimination cost it is
 meant to check; the factor is checked numerically on every call (R^T R x
-against A x), and a nonpositive pivot is named by the scalar loop on the
-pivot block LAPACK refused. The fronts' (frontal, separator) dimensions
-are an independent check of the clique tree.
+against A x, with A read from the store, so a fault in the gather shows),
+and a nonpositive pivot is named by the scalar loop on the pivot block
+LAPACK refused. The fronts' (frontal, separator) dimensions are an
+independent check of the clique tree.
 """
 
 from __future__ import annotations
@@ -197,41 +199,40 @@ def _fronts(graph: FactorGraph, ordering: Sequence[int]) -> list[tuple[np.ndarra
     """Symbolic pass: the fronts of the supernodal factorization.
 
     Runs over variables: the r-th run is `ordering[r]`'s pivots, the r-th
-    block of consecutive permuted positions. A run's variables are itself,
-    its neighbours later in the ordering and its children's update
-    variables; its index set is their scalars' positions, its update
-    variables are all but itself (the structure of its columns of the
-    factor), and its parent is the first update variable. A run joins the
-    front before it when it is that front's parent, has no other child,
-    and its variables are that front's update variables (a fundamental
-    supernode). Each front comes out as (index set of sorted permuted
-    positions, pivot count).
+    block of consecutive permuted positions. A run's update set, the
+    structure of its columns of the factor, is the set of later runs among
+    its neighbours and its children's update sets, and its parent is the
+    update set's first run (the elimination tree, Liu 1990). A parent takes
+    its first child's set as its own without a copy and joins the other
+    children's sets to it, so the set run r pops is run r - 1's exactly
+    when r - 1 is its only child. A run joins the front before it when that
+    front's last run is its only child and the set gained no run (a
+    fundamental supernode). Each front comes out as (index set of sorted
+    permuted positions, pivot count).
     """
     graph_dims = graph.dims
     dims = [graph_dims[v] for v in ordering]
-    bounds = list(itertools.accumulate(dims, initial=0))
-    pos = np.empty(len(dims), dtype=np.intp)
-    pos[ordering] = np.arange(len(dims))
-    children: list[list[int]] = [[] for _ in dims]
-    updates: list[np.ndarray] = []  # each run's update variables, as positions
+    run_dims = np.array(dims, dtype=np.intp)
+    starts = np.cumsum(run_dims) - run_dims
+    pos = {v: r for r, v in enumerate(ordering)}
+    alive = set(range(len(dims)))  # variables not yet eliminated
+    below: dict[int, set[int]] = {}  # a run's children's update sets, joined
     fronts: list[tuple[np.ndarray, int]] = []
+    last, size = None, 0  # the previous run's update set and its size
     for r, v in enumerate(ordering):
-        marked = np.zeros(len(dims) - r, dtype=bool)  # positions from r
-        marked[0] = True
-        nbrs = graph.neighbors(v)
-        later = pos[np.fromiter(nbrs, np.intp, len(nbrs))]
-        marked[later[later > r] - r] = True
-        for c in children[r]:
-            marked[updates[c] - r] = True
-        update = np.flatnonzero(marked[1:]) + r + 1
-        updates.append(update)
-        if update.size:
-            children[update[0]].append(r)
-        if children[r] == [r - 1] and updates[r - 1].size == update.size + 1:
+        alive.discard(v)
+        later = below.pop(r, set())  # becomes this run's update set
+        only_child = later is last
+        later.discard(r)
+        later.update(map(pos.__getitem__, alive.intersection(graph.neighbors(v))))
+        if only_child and len(later) == size - 1:
             fronts[-1] = (fronts[-1][0], fronts[-1][1] + dims[r])
         else:
-            index = np.flatnonzero(np.repeat(marked, dims[r:])) + bounds[r]
-            fronts.append((index, dims[r]))
+            runs = np.array([r, *sorted(later)], dtype=np.intp)
+            fronts.append((_scalars(starts, run_dims, runs), dims[r]))
+        if later:  # the first child's set becomes its parent's; the others join it
+            below.setdefault(min(later), later).update(later)
+        last, size = later, len(later)
     return fronts
 
 
@@ -295,23 +296,24 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
 
     Each variable's scalars are eliminated together, as one run of pivots.
     A symbolic pass (`_fronts`) finds each front's index set and pivot
-    count from the graph. The numeric pass visits the fronts in
-    elimination order. A front is its pivots' original rows over its index
-    set, gathered from its variables' stored rows (a spare last column takes
-    the entries left of the front, which belong to earlier pivots), less
-    the products of the factor rows waiting on it
-    (`_subtract_products`), all of them at once. Once factored, the front
-    adds its own rows to those that waited on it, and each one whose
-    columns reach past the front's pivots waits next, trimmed to those
-    columns, on the front that owns the first of them. Every column a
-    descendant's rows touch at or after a pivot j lies in the structure of
-    column j, so each waiting row fits its front's index set.
+    count from the graph, by the elimination tree's set algebra over runs.
+    The numeric pass visits the fronts in elimination order. A front is its
+    pivots' original rows over its index set, gathered from its variables'
+    stored rows (a spare last column takes the entries left of the front,
+    which belong to earlier pivots), less the products of the factor rows
+    waiting on it (`_subtract_products`), all of them at once. Once
+    factored, the front adds its own rows to those that waited on it, and
+    each one whose columns reach past the front's pivots waits next,
+    trimmed to those columns, on the front that owns the first of them.
+    Every column a descendant's rows touch at or after a pivot j lies in
+    the structure of column j, so each waiting row fits its front's index
+    set.
     Each panel of at most `_PANEL` pivot rows takes one Cholesky of its
     diagonal block, one solve against that factor for the rest of its rows
     and one product that updates the front's later pivot rows.
-    Then `check_factor` compares R^T R x with A x for one fixed x that is
-    not constant, A read over the fronts' original rows, as factored, and
-    raises FactorCheckError past a relative residual of `_CHECK_RTOL`.
+    Then `check_factor` compares R^T R x with the system's own A x, read
+    from the store and not from the rows the fronts gathered, and raises
+    FactorCheckError past a relative residual of `_CHECK_RTOL`.
 
     Pivot j of a front of width f has d = f - j - 1 entries right of it,
     costing d + d(d+1)/2 multiplications and one division; the fill counts
@@ -331,9 +333,6 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     # a position's column in the current front; -1, the front's spare last
     # column, for the pivots of fronts already factored
     slot = np.full(perm.size, -1, dtype=np.intp)
-    # the factor check's vector, and A x read from each front's original rows
-    x = np.linspace(1.0, 2.0, perm.size)
-    ax = np.zeros_like(x)
     waiting: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in fronts]
     blocks = []
     mult = div = stored = 0
@@ -347,8 +346,6 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
             m[a:a + dims[v], slot[pos[system.cols[v]]]] = system.rows[v]
             run += 1
         m = m[:, :f]
-        ax[start:start + p] += m @ x[index]
-        ax[index[p:]] += m[:, p:].T @ x[start:start + p]
         tails, waiting[i] = waiting[i], []  # drops the views once used
         if tails:
             _subtract_products(m, slot, tails)
@@ -382,19 +379,29 @@ def cholesky_count(system: SparseSystem, ordering: Sequence[int]) -> CholeskyCou
     nnz = sum(rows.size for rows in system.rows)
     fill = stored - (nnz - perm.size) // 2
     count = CholeskyCount(mult, div, fill, tuple(blocks), perm)
-    check_factor(count, x, ax)
+    check_factor(count, system)
     return count
 
 
-def check_factor(count: CholeskyCount, x: np.ndarray, ax: np.ndarray) -> float:
-    """Relative residual |R^T R x - A x| / |A x| of a counted factorization,
-    given x and A x in elimination order; past `_CHECK_RTOL` it raises
-    FactorCheckError. R x and then R^T (R x) run front by front: a front's
-    rows of R x are its factor rows times x over its index set."""
+def check_factor(count: CholeskyCount, system: SparseSystem) -> float:
+    """Relative residual |R^T R x - A x| / |A x| of a counted factorization
+    against `system`, for one fixed x that is not constant; past
+    `_CHECK_RTOL` it raises FactorCheckError. A x is read from the store,
+    one product per variable's row block, so the check never sees the
+    rows the fronts gathered. R x and then R^T (R x) run front by front: a
+    front's rows of R x are its factor rows times x over its index set,
+    read through the scalar order.
+    """
+    x = np.linspace(1.0, 2.0, system.n)
+    ax = np.empty_like(x)
+    for rows, cols, end in zip(system.rows, system.cols, itertools.accumulate(system.graph.dims)):
+        ax[end - rows.shape[0]:end] = rows @ x[cols]
     z = np.zeros_like(x)
     for index, r in count.factor:
-        z[index] += r.T @ (r @ x[index])
-    residual = float(np.linalg.norm(z - ax) / np.linalg.norm(ax))
+        at = count.scalar_order[index]  # the front's scalars in the system
+        z[at] += r.T @ (r @ x[at])
+    # |A x| is 0 only on the empty system, whose residual is then 0
+    residual = float(np.linalg.norm(z - ax) / (np.linalg.norm(ax) or 1.0))
     if not residual <= _CHECK_RTOL:
         raise FactorCheckError(
             f"factor check failed: |R^T R x - A x| / |A x| = {residual:.3g}"

@@ -273,6 +273,19 @@ def test_experiment_defaults_are_spec_defaults(tmp_path, monkeypatch):
     assert _sha256(spec) == "74e44f09a5dc5457d0ec224bdfbfeabf6343165dbce2a4011abfd809081a21ef"
 
 
+def test_oracle_is_a_plain_flag(tmp_path, monkeypatch, capsys):
+    # --oracle turns the oracle on; leaving it out keeps the spec's default,
+    # and there is no --no-oracle
+    monkeypatch.setattr(experiment, "run_experiment", lambda spec: [])
+    assert cli.main(["experiment", "--oracle", "--out", str(tmp_path)]) == 0
+    spec = _decode(tmp_path / "spec.json", ExperimentSpec, "spec")
+    assert spec == ExperimentSpec(sim=default_config(), oracle=True)
+    out = tmp_path / "x"
+    assert cli.main(["experiment", "--no-oracle", "--out", str(out)]) == 1
+    assert "unrecognized arguments: --no-oracle" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failure_inside_a_validated_experiment_exits_two(tmp_path, monkeypatch, capsys):
     def fail(spec):
         raise NotPositiveDefiniteError("nonpositive pivot -1 at elimination index 3")

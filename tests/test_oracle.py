@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from graphelim.cliquetree import build_clique_tree
 from graphelim.elimination import (
+    elimination_tree,
     min_degree_ordering,
     scalar_mult_count,
     simulate_elimination,
@@ -278,6 +280,24 @@ def test_front_dims_equal_clique_tree(rng):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_front_index_sets_are_separators(rng):
+    # a front's index set is its first variable's scalars and those of that
+    # variable's separator in the elimination tree, as permuted positions
+    g, order = random_graph_and_ordering(rng)
+    separator = elimination_tree(g, order)[1]
+    position = np.argsort(scalar_permutation(synthesize_system(g), order))
+    first = dict(zip(itertools.accumulate((g.dims[v] for v in order), initial=0), order))
+    starts = list(itertools.accumulate(g.dims, initial=0))
+    fronts = _fronts(g, order)
+    assert sum(p for _, p in fronts) == sum(g.dims)
+    for index, _ in fronts:
+        v = first[int(index[0])]
+        scalars = [s for u in {v, *separator[v]} for s in range(starts[u], starts[u + 1])]
+        assert index.tolist() == sorted(position[scalars].tolist())
+
+
 def _peak_memory_of_cholesky_count(system, order):
     tracemalloc.start()
     try:
@@ -473,12 +493,40 @@ def test_factor_check_flags_one_corrupted_entry():
     g = worst_case_graph(5, 8)
     system = synthesize_system(g, seed=2)
     count = cholesky_count(system, min_degree_ordering(g))
-    x = np.linspace(1.0, 2.0, system.n)
-    ax = permuted(system, count) @ x
-    assert check_factor(count, x, ax) <= 1e-14
+    assert check_factor(count, system) <= 1e-14
     count.factor[0][1][0, -1] += 1e-6
     with pytest.raises(FactorCheckError, match=r"^factor check failed: .* exceeds 1e-10$"):
-        check_factor(count, x, ax)
+        check_factor(count, system)
+
+
+@pytest.mark.parametrize("at", [0.0, 0.5, 1.0], ids=["first", "middle", "last"])
+def test_factor_check_reads_the_system_not_the_factorization(at):
+    # a factor checked against a system that differs in one diagonal entry
+    # fails, so the check's A x comes from the system it is given
+    g = worst_case_graph(5, 8)
+    system = synthesize_system(g, seed=2)
+    count = cholesky_count(system, min_degree_ordering(g))
+    i = round(at * (system.n - 1))
+    other = with_diagonal(system, i, 1.25 * dense(system)[i, i])
+    with pytest.raises(FactorCheckError, match=r"^factor check failed: .* exceeds 1e-10$"):
+        check_factor(count, other)
+
+
+def test_tuple_ordering_counts_as_a_list():
+    g = worst_case_graph(3, 4)
+    system = synthesize_system(g, seed=0)
+    order = min_degree_ordering(g)
+    got, want = cholesky_count(system, tuple(order)), cholesky_count(system, order)
+    assert (got.mult_count, got.fill_count, got.front_dims) == (
+        want.mult_count, want.fill_count, want.front_dims,
+    )
+
+
+def test_empty_system_counts_nothing():
+    count = cholesky_count(SparseSystem((), FactorGraph()), [])
+    assert (count.mult_count, count.div_count, count.fill_count) == (0, 0, 0)
+    assert count.factor == () and count.scalar_order.size == 0
+    assert count.front_dims == ()
 
 
 @pytest.mark.parametrize("order", [[4, 5, 6, 0, 1, 2, 3], [0, 1]], ids=["scalar", "short"])
