@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import pairwise
+from itertools import chain, pairwise
 from pathlib import Path
 from typing import Sequence
 
@@ -68,14 +68,18 @@ class FactorGraph:
         arity = np.diff(ptr)
         if ptr.size == 0 or ptr[0] != 0 or ptr[-1] != ids.size or (arity < 0).any():
             raise ValueError("factor offsets must rise from 0 to the number of factor ids")
-        # each factor's (variable, neighbor) keys v * n + u, one arity at a time
+        # each factor's (variable, neighbor) keys v * n + u, one arity at a time;
+        # every temporary is dropped once it has served, so the high-water mark
+        # is the adjacency plus the stored id arrays
         keys = [np.empty(0, np.int64)]
         fault = (arity == 0).any() or (ids < 0).any() or (ids >= n).any()
         for a in np.flatnonzero(np.bincount(arity)).tolist():
             members = ids[ptr[:-1][arity == a, None] + np.arange(a)]
-            u, w = (members[:, k] for k in np.triu_indices(a, 1))
+            u, w = (members[:, k].ravel() for k in np.triu_indices(a, 1))
+            del members
             fault = fault or (u == w).any()
-            keys += [(u * n + w).ravel(), (w * n + u).ravel()]
+            keys += [u * n + w, w * n + u]
+            del u, w
         if fault:  # raise the first fault in factor order
             for a, b in pairwise(ptr.tolist()):
                 _check_factor(ids[a:b].tolist(), n)
@@ -84,6 +88,7 @@ class FactorGraph:
         keys = keys[np.diff(keys, prepend=-1) != 0]
         bounds = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
         nbr = np.arange(n).astype(object)[keys % max(n, 1)]  # one int object per id
+        del keys
         self._adj = [frozenset(nbr[a:b].tolist()) for a, b in pairwise(bounds)]
 
     @cached_property
@@ -156,10 +161,19 @@ def check_ordering(graph: FactorGraph, ordering: Sequence[int]) -> None:
 
 
 def graph_to_text(graph: FactorGraph) -> str:
-    lines = [f"V {v.id} {v.kind.value} {v.dim}" for v in graph.variables]
-    ids, ptr = list(map(str, graph._ids.tolist())), graph._ptr.tolist()  # no Factor records
-    lines += [f"F {f} " + " ".join(ids[a:b]) for f, (a, b) in enumerate(pairwise(ptr))]
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The graph's text, each run of equal-arity factors formatted by one `%`."""
+    n = graph.n_vars
+    kinds = (k.value for k in graph._kinds)
+    parts = ["V %d %s %d\n" * n % tuple(chain(*zip(range(n), kinds, graph._dims)))]
+    ids, ptr = graph._ids, graph._ptr  # no Factor records
+    arity = np.diff(ptr)
+    # first factor of each run of equal arity; no factor has arity 0
+    runs = np.flatnonzero(np.diff(arity, prepend=0)).tolist() + [arity.size]
+    for f, g in pairwise(runs):
+        rows = np.insert(ids[ptr[f]:ptr[g]].reshape(g - f, -1), 0, np.arange(f, g), axis=1)
+        template = "F %d" + " %d" * int(arity[f]) + "\n"
+        parts.append(template * (g - f) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def save_graph(graph: FactorGraph, path: str | Path) -> None:

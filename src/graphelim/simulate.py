@@ -289,6 +289,15 @@ def build_graph(
     reads or makes; the graph depends only on the frames' order.
     """
     n_x = len(log.frames)
+    flat, n_l = _factor_ids(log, min_obs_to_init)  # its temporaries are freed here
+    kinds, dims = [Kind.POSE] * n_x + [Kind.LANDMARK] * n_l, [d_x] * n_x + [d_l] * n_l
+    return FactorGraph(kinds, dims, flat, np.arange(0, flat.size + 1, 2))
+
+
+def _factor_ids(log: ObservationLog, min_obs_to_init: int) -> tuple[np.ndarray, int]:
+    """`build_graph`'s binary factors as flat variable ids, odometry first, and
+    its landmark count."""
+    n_x = len(log.frames)
     pose = np.repeat(np.arange(n_x), [len(f.observations) for f in log.frames])
     landmark = np.fromiter(chain(*(f.observations for f in log.frames)), np.int64)
     n_obs = np.unique(landmark, return_counts=True)[1]
@@ -298,9 +307,7 @@ def build_graph(
     lm_var = np.repeat(n_x - 1 + np.cumsum(kept), n_obs)
     ties = np.stack([key[tied] % max(n_x, 1), lm_var[tied]], axis=1).ravel()
     flat = np.concatenate([np.repeat(np.arange(n_x), 2)[1:-1], ties])  # odometry, then ties
-    n_l = int(kept.sum())
-    kinds, dims = [Kind.POSE] * n_x + [Kind.LANDMARK] * n_l, [d_x] * n_x + [d_l] * n_l
-    return FactorGraph(kinds, dims, flat, np.arange(0, flat.size + 1, 2))
+    return flat, int(kept.sum())
 
 
 # -- serialization -----------------------------------------------------------
@@ -312,12 +319,9 @@ def build_graph(
 
 
 def log_to_text(log: ObservationLog) -> str:
-    lines = []
-    for f in log.frames:
-        lines.append(f"FRAME {f.index}")
-        for lm in f.observations:
-            lines.append(f"OBS {lm}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """The log's text, every line formatted by one `%`."""
+    template = "".join("FRAME %d\n" + "OBS %d\n" * len(f.observations) for f in log.frames)
+    return template % tuple(chain(*((f.index, *f.observations) for f in log.frames)))
 
 
 def save_log(log: ObservationLog, path: str | Path) -> None:

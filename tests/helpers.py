@@ -9,6 +9,7 @@ import random
 from typing import Iterable, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from graphelim.cliquetree import Clique, CliqueTree
 from graphelim.elimination import BRUTE_FORCE_LIMIT, EliminationTrace, Step
@@ -95,6 +96,31 @@ class ReferenceGraph:
             [v for f in self.factors for v in f.vars],
             list(itertools.accumulate((len(f.vars) for f in self.factors), initial=0)),
         )
+
+
+@st.composite
+def graph_records(draw, valid: bool = True):
+    """Variable kinds and dims, then factors as id lists (arity 1-4, dims 1-6).
+
+    With `valid=False`, dims may be 0, factors may be empty, and ids may
+    repeat or fall outside the declared variables.
+    """
+    dims = draw(st.lists(st.integers(1 if valid else 0, 6), max_size=8))
+    kinds = draw(st.lists(st.sampled_from(Kind), min_size=len(dims), max_size=len(dims)))
+    n = len(dims)
+    if not valid:
+        factor = st.lists(st.integers(-1, n + 1), max_size=4)
+    elif n:
+        factor = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True)
+    else:
+        return kinds, dims, []
+    return kinds, dims, draw(st.lists(factor, max_size=12))
+
+
+def graph_from_records(kinds, dims, factors) -> FactorGraph:
+    """`FactorGraph` from `graph_records`' lists, as flat ids and offsets."""
+    offsets = list(itertools.accumulate(map(len, factors), initial=0))
+    return FactorGraph(kinds, dims, [v for f in factors for v in f], offsets)
 
 
 def running_intersection_holds(tree: CliqueTree) -> bool:
@@ -459,6 +485,25 @@ def reference_worst_case_graph(
         for i in range(n_x):
             g.add_factor((i, n_x + j))
     return g.build()
+
+
+def reference_graph_to_text(graph: FactorGraph) -> str:
+    """The graph's text built one f-string per line. The reference for
+    `graph_to_text`, which must return the same string."""
+    lines = [f"V {v.id} {v.kind.value} {v.dim}" for v in graph.variables]
+    lines += [f"F {f.id} " + " ".join(map(str, f.vars)) for f in graph.factors]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def reference_log_to_text(log: ObservationLog) -> str:
+    """The log's text built one f-string per line. The reference for
+    `log_to_text`, which must return the same string."""
+    lines = []
+    for f in log.frames:
+        lines.append(f"FRAME {f.index}")
+        for lm in f.observations:
+            lines.append(f"OBS {lm}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def reference_prune_random(log: ObservationLog, r: int, seed: int = 0) -> PruneResult:

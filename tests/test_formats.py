@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from graphelim.elimination import ORDERING_FUNCTIONS, load_ordering, save_ordering
 from graphelim.experiment import ExperimentSpec
-from graphelim.graph import ParseError, graph_from_text, graph_to_text
+from graphelim.graph import FactorGraph, Kind, ParseError, graph_from_text, graph_to_text
 from graphelim.pruning import POLICY_NAMES
 from graphelim.simulate import (
     Frame,
@@ -34,7 +34,13 @@ from graphelim.simulate import (
     to_json,
 )
 
-from helpers import random_graph_and_ordering
+from helpers import (
+    graph_from_records,
+    graph_records,
+    random_graph_and_ordering,
+    reference_graph_to_text,
+    reference_log_to_text,
+)
 
 
 @st.composite
@@ -91,7 +97,36 @@ def test_graph_text_parse_error_names_line(rng, at, bad):
     assert _parse_error_line(graph_from_text, text) == line_no
 
 
+@settings(max_examples=300, deadline=None)
+@given(records=graph_records())
+def test_graph_to_text_matches_per_line_reference(records):
+    """Factors of arity 1-4 in mixed order, so a run of equal arity may be
+    one factor long."""
+    g = graph_from_records(*records)
+    assert graph_to_text(g) == reference_graph_to_text(g)
+
+
 # -- log ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=contract_logs())
+def test_log_to_text_matches_per_line_reference(log):
+    assert log_to_text(log) == reference_log_to_text(log)
+
+
+def test_writers_on_empty_inputs():
+    for g, text in [
+        (FactorGraph(), ""),
+        (FactorGraph([Kind.POSE, Kind.LANDMARK], [6, 3]), "V 0 POSE 6\nV 1 LANDMARK 3\n"),
+    ]:
+        assert graph_to_text(g) == reference_graph_to_text(g) == text
+    for log, text in [
+        (ObservationLog(()), ""),
+        (ObservationLog((Frame(0, ()), Frame(2, ()))), "FRAME 0\nFRAME 2\n"),
+        (ObservationLog((Frame(1, ()), Frame(3, (4,)))), "FRAME 1\nFRAME 3\nOBS 4\n"),
+    ]:
+        assert log_to_text(log) == reference_log_to_text(log) == text
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,8 @@
-import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphelim.graph import (
     FactorGraph,
@@ -17,7 +15,7 @@ from graphelim.graph import (
 )
 from graphelim.simulate import worst_case_graph
 
-from helpers import ReferenceGraph, random_block_graph
+from helpers import ReferenceGraph, graph_from_records, graph_records, random_block_graph
 
 
 def test_add_variable_sequential_ids():
@@ -161,25 +159,6 @@ def test_structural_equality_ignores_factor_order():
     assert a == b
 
 
-@st.composite
-def graph_records(draw, valid: bool = True):
-    """Variable kinds and dims, then factors as id lists (arity 1-4, dims 1-6).
-
-    With `valid=False`, dims may be 0, factors may be empty, and ids may
-    repeat or fall outside the declared variables.
-    """
-    dims = draw(st.lists(st.integers(1 if valid else 0, 6), max_size=8))
-    kinds = draw(st.lists(st.sampled_from(Kind), min_size=len(dims), max_size=len(dims)))
-    n = len(dims)
-    if not valid:
-        factor = st.lists(st.integers(-1, n + 1), max_size=4)
-    elif n:
-        factor = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True)
-    else:
-        return kinds, dims, []
-    return kinds, dims, draw(st.lists(factor, max_size=12))
-
-
 def reference_outcome(kinds, dims, factors):
     """The per-factor builder's graph, or the text of its first error."""
     ref = ReferenceGraph()
@@ -195,9 +174,8 @@ def reference_outcome(kinds, dims, factors):
 
 def constructor_outcome(kinds, dims, factors):
     """`FactorGraph` from flat ids and offsets, or the text of its error."""
-    offsets = list(itertools.accumulate(map(len, factors), initial=0))
     try:
-        return FactorGraph(kinds, dims, [v for f in factors for v in f], offsets)
+        return graph_from_records(kinds, dims, factors)
     except ValueError as exc:
         return str(exc)
 
